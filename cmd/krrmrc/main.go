@@ -162,15 +162,15 @@ func resolveModel(name, method string) (string, error) {
 // writeModelTable renders the registry as the markdown table embedded
 // in the README's "Models" section.
 func writeModelTable(w io.Writer) {
-	fmt.Fprintln(w, "| Model | Target | Technique | Per-reference cost | Capabilities |")
-	fmt.Fprintln(w, "|---|---|---|---|---|")
+	fmt.Fprintln(w, "| Model | Target | Technique | Per-reference cost | Space | Capabilities |")
+	fmt.Fprintln(w, "|---|---|---|---|---|---|")
 	for _, info := range model.All() {
 		name := "`" + info.Name + "`"
 		if len(info.Aliases) > 0 {
 			name += " (alias `" + strings.Join(info.Aliases, "`, `") + "`)"
 		}
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %s |\n",
-			name, info.Target, info.Paper, info.Complexity, info.Caps)
+		fmt.Fprintf(w, "| %s | %s | %s | %s | %s | %s |\n",
+			name, info.Target, info.Paper, info.Complexity, info.Space, info.Caps)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestWriteModelTable(t *testing.T) {
 	var sb strings.Builder
 	writeModelTable(&sb)
 	out := sb.String()
-	for _, want := range []string{"| Model |", "`krr`", "`olken` (alias `lru`)", "bytes,deletes,sharded"} {
+	for _, want := range []string{"| Model |", "| Space |", "`krr`", "`olken` (alias `lru`)", "bytes,deletes,sharded"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("model table missing %q:\n%s", want, out)
 		}

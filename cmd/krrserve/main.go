@@ -63,6 +63,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -136,19 +137,27 @@ func main() {
 		go srv.sweepLoop(ctx, *idleTTL)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.routes()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("krrserve: default model=%s listening on %s", *name, *addr)
-
-	var wireSrv *wire.Server
-	if *tcpAddr != "" {
-		wireSrv, err = srv.startWire(*tcpAddr, *queueDepth, errc)
-		if err != nil {
-			log.Fatalf("krrserve: wire listener: %v", err)
-		}
-		log.Printf("krrserve: wire ingest listening on %s", *tcpAddr)
+	// Bind every listener before serving on any, so a healthy
+	// /healthz means both planes accept and a bind failure exits a
+	// process that never answered.
+	httpLn, wireLn, err := listen(*addr, *tcpAddr)
+	if err != nil {
+		log.Fatalf("krrserve: %v", err)
 	}
+	httpSrv := &http.Server{Handler: srv.routes()}
+	// One slot per serving goroutine (HTTP, wire), so neither blocks
+	// sending its exit error once main has stopped reading.
+	errc := make(chan error, 2)
+	var wireSrv *wire.Server
+	if wireLn != nil {
+		wireSrv, err = srv.serveWire(wireLn, *queueDepth, errc)
+		if err != nil {
+			log.Fatalf("krrserve: wire server: %v", err)
+		}
+		log.Printf("krrserve: wire ingest listening on %s", wireLn.Addr())
+	}
+	go func() { errc <- httpSrv.Serve(httpLn) }()
+	log.Printf("krrserve: default model=%s listening on %s", *name, httpLn.Addr())
 
 	select {
 	case err := <-errc:
@@ -171,6 +180,24 @@ func main() {
 		log.Fatalf("krrserve: final curve: %v", err)
 	}
 	log.Printf("krrserve: final curve flushed")
+}
+
+// listen binds the HTTP listener and, when wireAddr is set, the wire
+// ingest listener. On any failure it closes what it bound and returns
+// the error, so nothing has been served.
+func listen(httpAddr, wireAddr string) (httpLn, wireLn net.Listener, err error) {
+	httpLn, err = net.Listen("tcp", httpAddr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("http listener: %w", err)
+	}
+	if wireAddr != "" {
+		wireLn, err = net.Listen("tcp", wireAddr)
+		if err != nil {
+			httpLn.Close()
+			return nil, nil, fmt.Errorf("wire listener: %w", err)
+		}
+	}
+	return httpLn, wireLn, nil
 }
 
 // server is the thin HTTP shell over the fleet registry: routing,

@@ -32,19 +32,15 @@ func (fs fleetSink) IngestBatch(tenant string, reqs []trace.Request) error {
 	return nil
 }
 
-// startWire opens the binary ingest listener and registers its metrics
-// under wire_ in the server's exposition set. Accept-loop failures are
-// reported on errc like the HTTP listener's.
-func (s *server) startWire(addr string, queueDepth int, errc chan<- error) (*wire.Server, error) {
+// serveWire serves the binary ingest plane on ln and registers its
+// metrics under wire_ in the server's exposition set. Accept-loop
+// failures are reported on errc like the HTTP listener's.
+func (s *server) serveWire(ln net.Listener, queueDepth int, errc chan<- error) (*wire.Server, error) {
 	wsrv, err := wire.NewServer(wire.Config{Sink: fleetSink{s: s}, QueueDepth: queueDepth})
 	if err != nil {
 		return nil, err
 	}
 	wsrv.MetricsInto(s.set, "wire_")
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	go func() {
 		if err := wsrv.Serve(ln); err != nil {
 			errc <- err

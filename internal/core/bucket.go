@@ -42,11 +42,12 @@ import (
 // ratio approaches 1: with ratio 1 every bucket holds one position
 // and the walk is exactly Mattson's per-position linear law.
 //
-// Keys and sizes live in a flat structure-of-arrays arena indexed by
-// slot id with free-list recycling; the stack order is a permutation
-// array of slot ids, and the PR-1 open-addressing posIndex maps
-// key → slot. The structure is pointer-free: snapshotting or sharding
-// it costs a few slice copies.
+// The stack's only per-object storage is one open-addressing key
+// table whose entry index is the object's slot: parallel arrays of
+// keys and nominal positions, with order mapping position → entry.
+// A lookup yields the position in the same probe that finds the key.
+// The structure is pointer-free: snapshotting or sharding it costs a
+// few slice copies.
 
 // DefaultBucketRatio is the geometric bucket growth ratio used when a
 // configuration leaves it zero: buckets coarse enough for the O(1)
@@ -83,23 +84,26 @@ type BucketStack struct {
 	ratio  float64
 	draws  drawBatch
 
-	// Arena: slot-indexed parallel arrays ([0] unused) plus a free
-	// list recycling slots of deleted objects.
-	keys  []uint64
-	sizes []uint32
-	pos   []int32 // slot -> nominal position
-	free  []int32
+	// Key table: open addressing over parallel arrays, entry index =
+	// slot. Same scheme as posIndex — power-of-two capacity, fibonacci
+	// home, linear probing, grow at 3/4 load, backward-shift delete —
+	// but the value is the object's nominal position, and an entry
+	// that moves (grow, delete shift) rewrites its order cell.
+	// tpos[i] == 0 marks an empty entry (positions are 1-based), so
+	// key 0 needs no sentinel.
+	tkeys []uint64
+	tpos  []int32
+	mask  uint64
+	shift uint
+	max   int // grow threshold (3/4 load)
 
-	order []int32 // nominal position -> slot ([0] unused)
-
-	index *posIndex // key -> slot
+	order []int32 // nominal position -> table entry ([0] unused)
 
 	buckets []bucketSpan
 	// ends[i] == buckets[i].end, kept flat so bucketOf's binary search
 	// touches one densely packed cache line instead of striding
 	// through 24-byte spans.
-	ends       []int32
-	totalBytes uint64
+	ends []int32
 
 	// Live telemetry, single-writer atomics (see Stack).
 	moves    telemetry.Counter // inter-bucket victim moves applied
@@ -107,6 +111,9 @@ type BucketStack struct {
 	depthSum telemetry.Counter // Σφ over updates
 	resident telemetry.Gauge
 }
+
+// bucketTableMinCap is the key table's initial (and minimum) capacity.
+const bucketTableMinCap = 16
 
 // NewBucketStack returns an empty bucketized KRR stack with exponent
 // kPrime (pass KPrimeFor(K)) and geometric bucket ratio in
@@ -121,16 +128,78 @@ func NewBucketStack(kPrime, ratio float64, seed uint64) *BucketStack {
 	if ratio < 1 || ratio > MaxBucketRatio {
 		panic("core: bucket ratio out of [1, MaxBucketRatio]")
 	}
-	return &BucketStack{
+	s := &BucketStack{
 		kPrime: kPrime,
 		ratio:  ratio,
 		draws:  newDrawBatch(xrand.New(seed)),
-		keys:   make([]uint64, 1),
-		sizes:  make([]uint32, 1),
-		pos:    make([]int32, 1),
 		order:  make([]int32, 1),
-		index:  newPosIndex(),
 	}
+	s.initTable(bucketTableMinCap)
+	return s
+}
+
+// initTable allocates an empty key table of the given power-of-two
+// capacity.
+func (s *BucketStack) initTable(capacity int) {
+	s.tkeys = make([]uint64, capacity)
+	s.tpos = make([]int32, capacity)
+	s.mask = uint64(capacity - 1)
+	s.shift = 64 - uint(log2Ceil(capacity))
+	s.max = capacity - capacity>>2
+}
+
+func (s *BucketStack) home(key uint64) uint64 { return (key * fibMul) >> s.shift }
+
+// find returns key's table entry and whether it is resident; when
+// absent, the entry is the empty one that ends its probe run.
+func (s *BucketStack) find(key uint64) (uint64, bool) {
+	i := s.home(key)
+	for s.tpos[i] != 0 {
+		if s.tkeys[i] == key {
+			return i, true
+		}
+		i = (i + 1) & s.mask
+	}
+	return i, false
+}
+
+// grow doubles the key table, rehashing every entry and repointing
+// its order cell at the entry's new index.
+func (s *BucketStack) grow() {
+	oldKeys, oldPos := s.tkeys, s.tpos
+	s.initTable(len(oldKeys) * 2)
+	for j, p := range oldPos {
+		if p == 0 {
+			continue
+		}
+		key := oldKeys[j]
+		i, _ := s.find(key)
+		s.tkeys[i] = key
+		s.tpos[i] = p
+		s.order[p] = int32(i)
+	}
+}
+
+// unlink empties table entry i, backward-shifting the probe run after
+// it so no tombstone remains; each entry that moves rewrites its order
+// cell. The entry's object must already be off the stack.
+func (s *BucketStack) unlink(i uint64) {
+	j := i
+	for {
+		j = (j + 1) & s.mask
+		p := s.tpos[j]
+		if p == 0 {
+			break
+		}
+		h := s.home(s.tkeys[j])
+		if (j-h)&s.mask >= (j-i)&s.mask {
+			s.tkeys[i] = s.tkeys[j]
+			s.tpos[i] = p
+			s.order[p] = int32(i)
+			i = j
+		}
+	}
+	s.tpos[i] = 0
 }
 
 // KPrime returns the stack exponent.
@@ -145,19 +214,16 @@ func (s *BucketStack) Len() int { return len(s.order) - 1 }
 // Buckets returns the number of active buckets.
 func (s *BucketStack) Buckets() int { return len(s.buckets) }
 
-// TotalBytes returns the byte total across resident objects.
-func (s *BucketStack) TotalBytes() uint64 { return s.totalBytes }
-
 // At returns the key at 1-based nominal position i.
-func (s *BucketStack) At(i int) uint64 { return s.keys[s.order[i]] }
+func (s *BucketStack) At(i int) uint64 { return s.tkeys[s.order[i]] }
 
 // PositionOf returns key's 1-based nominal position, or 0 if absent.
 func (s *BucketStack) PositionOf(key uint64) int32 {
-	slot := s.index.get(key)
-	if slot == 0 {
+	i, ok := s.find(key)
+	if !ok {
 		return 0
 	}
-	return s.pos[slot]
+	return s.tpos[i]
 }
 
 // Moves returns the cumulative inter-bucket victim moves applied —
@@ -234,51 +300,34 @@ func (s *BucketStack) newSpan(idx int) bucketSpan {
 	return sp
 }
 
-// allocSlot takes a slot off the free list or extends the arena.
-func (s *BucketStack) allocSlot(key uint64, size uint32) int32 {
-	if n := len(s.free); n > 0 {
-		slot := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.keys[slot] = key
-		s.sizes[slot] = size
-		return slot
-	}
-	s.keys = append(s.keys, key)
-	s.sizes = append(s.sizes, size)
-	s.pos = append(s.pos, 0)
-	return int32(len(s.keys) - 1)
-}
-
-// Reference processes an access to key with the given object size and
-// returns its stack distance (the nominal position, Cold for first
-// touches — appended to the stack bottom before the update, matching
-// Algorithm 1's convention).
+// Reference processes an access to key and returns its stack distance
+// (the nominal position, Cold for first touches — appended to the
+// stack bottom before the update, matching Algorithm 1's convention).
+// The model is object-granular, so size is ignored.
 func (s *BucketStack) Reference(key uint64, size uint32) Result {
-	slot := s.index.get(key)
+	i, ok := s.find(key)
 	var res Result
 	var p int32
-	if slot == 0 {
-		slot = s.allocSlot(key, size)
-		s.order = append(s.order, slot)
-		p = int32(len(s.order) - 1)
-		s.pos[slot] = p
+	if ok {
+		p = s.tpos[i]
+		res.Distance = uint64(p)
+	} else {
+		if s.Len() >= s.max {
+			s.grow()
+			i, _ = s.find(key)
+		}
+		p = int32(len(s.order))
+		s.tkeys[i] = key
+		s.tpos[i] = p
+		s.order = append(s.order, int32(i))
 		if nb := len(s.buckets); nb == 0 || p > s.buckets[nb-1].end {
 			s.buckets = append(s.buckets, s.newSpan(nb))
 			s.ends = append(s.ends, s.buckets[nb].end)
 		}
-		s.index.put(key, slot)
-		s.totalBytes += uint64(size)
-		s.resident.Set(int64(len(s.order) - 1))
+		s.resident.Set(int64(p))
 		res.Cold = true
-	} else {
-		p = s.pos[slot]
-		if s.sizes[slot] != size {
-			s.totalBytes += uint64(size) - uint64(s.sizes[slot])
-			s.sizes[slot] = size
-		}
-		res.Distance = uint64(p)
 	}
-	s.update(slot, p)
+	s.update(int32(i), p)
 	return res
 }
 
@@ -293,7 +342,7 @@ func (s *BucketStack) update(slot, p int32) {
 		// Top bucket: the bucket-granular state is unchanged.
 		return
 	}
-	order, pos, bks := s.order, s.pos, s.buckets
+	order, tpos, bks := s.order, s.tpos, s.buckets
 	hole := p
 	var moved uint64
 	for j := b - 1; j >= 1; j-- {
@@ -310,7 +359,7 @@ func (s *BucketStack) update(slot, p int32) {
 		}
 		v := order[q]
 		order[hole] = v
-		pos[v] = hole
+		tpos[v] = hole
 		hole = q
 		moved++
 	}
@@ -320,23 +369,24 @@ func (s *BucketStack) update(slot, p int32) {
 	// hole and the referenced object takes the top.
 	v := order[1]
 	order[hole] = v
-	pos[v] = hole
+	tpos[v] = hole
 	order[1] = slot
-	pos[slot] = 1
+	tpos[slot] = 1
 	s.moves.Add(moved + 1)
 }
 
 // Delete removes key from the stack in O(buckets): the hole cascades
 // downward, each bucket below pulling one uniform member up from the
 // next deeper bucket, so every bucket's span stays fully occupied and
-// only the bottom position is surrendered. Returns whether the key
-// was resident.
+// only the bottom position is surrendered. The table entry is
+// unlinked after the cascade, when every surviving position is final.
+// Returns whether the key was resident.
 func (s *BucketStack) Delete(key uint64) bool {
-	slot := s.index.get(key)
-	if slot == 0 {
+	i, ok := s.find(key)
+	if !ok {
 		return false
 	}
-	p := s.pos[slot]
+	p := s.tpos[i]
 	n := int32(len(s.order) - 1)
 	last := s.bucketOf(n)
 	hole := p
@@ -352,34 +402,29 @@ func (s *BucketStack) Delete(key uint64) bool {
 		}
 		v := s.order[q]
 		s.order[hole] = v
-		s.pos[v] = hole
+		s.tpos[v] = hole
 		hole = q
 	}
 	if hole != n {
 		v := s.order[n]
 		s.order[hole] = v
-		s.pos[v] = hole
+		s.tpos[v] = hole
 	}
 	s.order = s.order[:n]
 	for len(s.buckets) > 0 && s.buckets[len(s.buckets)-1].start > n-1 {
 		s.buckets = s.buckets[:len(s.buckets)-1]
 		s.ends = s.ends[:len(s.buckets)]
 	}
-	s.totalBytes -= uint64(s.sizes[slot])
-	s.pos[slot] = 0
-	s.free = append(s.free, slot)
-	s.index.del(key)
-	s.resident.Set(int64(len(s.order) - 1))
+	s.unlink(i)
+	s.resident.Set(int64(n - 1))
 	return true
 }
 
 // MemoryOverheadBytes reports the resident metadata cost (§5.6
-// accounting): 16 B per arena slot (key + size + position), 4 B per
-// stack position, the open-addressing index, and the bucket table.
+// accounting): 12 B per key-table entry (key + position) at 3/8–3/4
+// load, 4 B per allocated order cell, and the bucket table.
 func (s *BucketStack) MemoryOverheadBytes() uint64 {
-	return uint64(len(s.keys)-1)*(8+4+4) +
-		uint64(len(s.order)-1)*4 +
-		uint64(len(s.free))*4 +
-		s.index.memBytes() +
+	return uint64(len(s.tkeys))*(8+4) +
+		uint64(cap(s.order))*4 +
 		uint64(len(s.buckets))*(24+4)
 }

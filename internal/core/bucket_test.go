@@ -55,38 +55,66 @@ func TestBucketGeometry(t *testing.T) {
 	}
 }
 
-// checkBucketInvariants verifies the arena/order/index cross-structure
-// invariants after an arbitrary operation sequence.
+// checkBucketInvariants verifies the key-table/order cross-structure
+// invariants after an arbitrary operation sequence: order and tpos are
+// inverse bijections between positions 1..Len and the live table
+// entries, every live entry is reachable from its fibonacci home
+// without crossing an empty entry, the table is within its load bound,
+// and the bucket table ends exactly at the bucket covering Len.
 func checkBucketInvariants(t *testing.T, s *BucketStack) {
 	t.Helper()
 	n := s.Len()
-	if s.index.Len() != n {
-		t.Fatalf("index holds %d keys, stack holds %d", s.index.Len(), n)
+	capacity := len(s.tkeys)
+	if capacity < bucketTableMinCap || capacity&(capacity-1) != 0 || len(s.tpos) != capacity {
+		t.Fatalf("table capacity %d (tpos %d) not a power of two >= %d", capacity, len(s.tpos), bucketTableMinCap)
+	}
+	if s.mask != uint64(capacity-1) || s.max != capacity-capacity>>2 {
+		t.Fatalf("mask %#x / max %d inconsistent with capacity %d", s.mask, s.max, capacity)
+	}
+	if n > s.max {
+		t.Fatalf("%d live entries exceed the 3/4-load bound %d", n, s.max)
 	}
 	seen := make(map[int32]bool, n)
 	for p := int32(1); p <= int32(n); p++ {
-		slot := s.order[p]
-		if slot <= 0 || int(slot) >= len(s.keys) {
-			t.Fatalf("order[%d] = %d out of arena range", p, slot)
+		i := s.order[p]
+		if i < 0 || int(i) >= capacity {
+			t.Fatalf("order[%d] = %d out of table range", p, i)
 		}
-		if seen[slot] {
-			t.Fatalf("slot %d appears twice in order", slot)
+		if seen[i] {
+			t.Fatalf("entry %d appears twice in order", i)
 		}
-		seen[slot] = true
-		if s.pos[slot] != p {
-			t.Fatalf("pos[%d] = %d, want %d", slot, s.pos[slot], p)
-		}
-		if got := s.index.get(s.keys[slot]); got != slot {
-			t.Fatalf("index[%#x] = %d, want slot %d", s.keys[slot], got, slot)
+		seen[i] = true
+		if s.tpos[i] != p {
+			t.Fatalf("tpos[order[%d]] = tpos[%d] = %d", p, i, s.tpos[i])
 		}
 	}
-	for _, slot := range s.free {
-		if seen[slot] {
-			t.Fatalf("free slot %d still referenced by order", slot)
+	live := 0
+	for i, p := range s.tpos {
+		if p == 0 {
+			continue
 		}
-		if s.pos[slot] != 0 {
-			t.Fatalf("free slot %d has pos %d, want 0", slot, s.pos[slot])
+		live++
+		if p < 0 || int(p) > n {
+			t.Fatalf("tpos[%d] = %d outside 1..%d", i, p, n)
 		}
+		if s.order[p] != int32(i) {
+			t.Fatalf("order[tpos[%d]] = order[%d] = %d", i, p, s.order[p])
+		}
+		key := s.tkeys[i]
+		for j := s.home(key); j != uint64(i); j = (j + 1) & s.mask {
+			if s.tpos[j] == 0 {
+				t.Fatalf("key %#x at entry %d unreachable: empty entry %d on its probe path", key, i, j)
+			}
+			if s.tkeys[j] == key {
+				t.Fatalf("key %#x stored at entries %d and %d", key, j, i)
+			}
+		}
+		if got := s.PositionOf(key); got != p {
+			t.Fatalf("PositionOf(%#x) = %d, want %d", key, got, p)
+		}
+	}
+	if live != n {
+		t.Fatalf("table holds %d live entries, stack holds %d", live, n)
 	}
 	if n > 0 {
 		last := s.buckets[len(s.buckets)-1]
@@ -95,6 +123,14 @@ func checkBucketInvariants(t *testing.T, s *BucketStack) {
 		}
 	} else if len(s.buckets) != 0 {
 		t.Fatalf("empty stack retains %d buckets", len(s.buckets))
+	}
+	if len(s.ends) != len(s.buckets) {
+		t.Fatalf("%d bucket ends for %d buckets", len(s.ends), len(s.buckets))
+	}
+	for j, bk := range s.buckets {
+		if s.ends[j] != bk.end {
+			t.Fatalf("ends[%d] = %d, want %d", j, s.ends[j], bk.end)
+		}
 	}
 }
 
@@ -119,13 +155,14 @@ func TestBucketStackInvariantsUnderChurn(t *testing.T) {
 			t.Fatalf("ratio %v: Len = %d after deleting every key", ratio, s.Len())
 		}
 		checkBucketInvariants(t, s)
-		// The arena recycles: regrowth reuses freed slots.
-		before := len(s.keys)
+		// Deleted entries are reused: regrowing to fewer keys than the
+		// table has held never grows it.
+		before := len(s.tkeys)
 		for key := uint64(0); key < 300; key++ {
 			s.Reference(key, 1)
 		}
-		if len(s.keys) != before {
-			t.Fatalf("arena grew from %d to %d slots despite %d free", before, len(s.keys), 700)
+		if len(s.tkeys) != before {
+			t.Fatalf("table grew from %d to %d entries regrowing 300 of 700 deleted keys", before, len(s.tkeys))
 		}
 		checkBucketInvariants(t, s)
 	}
@@ -168,9 +205,6 @@ func TestBucketStackDelete(t *testing.T) {
 	}
 	if s.Len() != 999 {
 		t.Fatalf("Len = %d after delete, want 999", s.Len())
-	}
-	if s.TotalBytes() != 999*2 {
-		t.Fatalf("TotalBytes = %d, want %d", s.TotalBytes(), 999*2)
 	}
 	if !s.Reference(500, 2).Cold {
 		t.Fatal("re-reference after delete must be cold")

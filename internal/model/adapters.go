@@ -209,8 +209,9 @@ func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 }
 
 // newKRRBucket builds the bucketized KRR stack model: the Eq. 4.1
-// stay-probability evaluated at geometric-bucket granularity over a
-// flat SoA arena, O(log M) per reference with no pow on the hot path.
+// stay-probability evaluated at geometric-bucket granularity over one
+// open-addressing key table, O(log M) per reference with no pow on
+// the hot path.
 // Object granularity only — byte trackers are tied to the exact
 // per-position shifts the bucketized update does not perform.
 func newKRRBucket(o Options) (Model, error) {
@@ -452,7 +453,7 @@ func init() {
 		Target:     "klru",
 		Paper:      "Yang, Wang & Wang, ICPP '21 × Saemundsson et al., SoCC '14 (buckets)",
 		Complexity: "O(log M)/ref",
-		Space:      "O(M) SoA arena + O(log M) buckets",
+		Space:      "O(M) open-address key table + position order + O(log M) buckets",
 		Caps:       CapDeletes | CapSharded,
 		New:        newKRRBucket,
 	})

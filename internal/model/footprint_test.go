@@ -1,6 +1,7 @@
 package model
 
 import (
+	"runtime"
 	"testing"
 
 	"krr/internal/trace"
@@ -79,5 +80,43 @@ func TestShardedFootprintAndClose(t *testing.T) {
 	}
 	if fp := s.Footprint(); fp <= 0 {
 		t.Fatalf("post-close footprint = %d, want > 0", fp)
+	}
+}
+
+// TestBucketFootprintMatchesHeap holds krr-bucket's reported footprint
+// to the heap it actually pins: after a GC, FootprintOf must be within
+// ±25% of the HeapAlloc growth from building the model and feeding it
+// ~200k distinct keys (then re-referencing them so the histogram
+// spans the stack). Fleet memory budgets and evictions act on this
+// number, so an accounting formula that drifts from the layout fails
+// here rather than in an over-committed daemon.
+func TestBucketFootprintMatchesHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures heap growth at 200k keys")
+	}
+	const keys = 200_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := New("krr-bucket", Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := uint64(0); i < keys; i++ {
+			if err := m.Process(trace.Request{Key: i * 0x9e3779b97f4a7c15, Size: 100}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fp := FootprintOf(m)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	ratio := float64(fp) / float64(heap)
+	t.Logf("footprint %d B, heap growth %d B, ratio %.3f", fp, heap, ratio)
+	if ratio < 0.75 || ratio > 1.25 {
+		t.Fatalf("footprint %d B is %.2fx the measured heap growth %d B, want within ±25%%", fp, ratio, heap)
 	}
 }

@@ -115,10 +115,10 @@ const (
 type BucketConfig = core.BucketConfig
 
 // BucketProfiler builds K-LRU MRCs with the bucketized KRR stack:
-// geometric position buckets over a flat slot arena, O(log M) work
-// per reference with no pow on the hot path, trading a bounded,
-// ratio-dependent accuracy loss for a ~10x faster update than the
-// backward sampler (see the krr-bucket model and
+// geometric position buckets over one open-addressing key table,
+// O(log M) work per reference with no pow on the hot path, trading a
+// bounded, ratio-dependent accuracy loss for a ~10x faster update
+// than the backward sampler (see the krr-bucket model and
 // difftest.BucketEnvelope).
 type BucketProfiler = core.BucketProfiler
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repo's CI gate: formatting, vet, build, race-enabled
 # tests, and a benchmark smoke pass (compile + a 100-iteration Table
-# 5.3 sweep so the bench harness itself can't rot). Run from the repo
-# root:
+# 5.3 sweep so the bench harness itself can't rot). krrbench, a
+# separate module under bench/, is vetted too, so an internal API
+# change that breaks it fails here. Run from the repo root:
 #
 #   ./scripts/check.sh          # full gate
 #   ./scripts/check.sh fast     # skip full -race (quick local iteration)
@@ -27,6 +28,9 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== bench vet (krrbench compiles against internal APIs; offline, as bench/run.sh)"
+(cd bench && GOTOOLCHAIN=local GOPROXY=off GOSUMDB=off GOFLAGS=-buildvcs=false go vet ./...)
+
 echo "== difftest-fast (differential harness, deterministic trials)"
 go test -count=1 -run 'TestDifferential|TestCorpus|TestMetamorphic' ./internal/difftest/
 
@@ -37,6 +41,8 @@ go test -count=1 -run 'TestDifferentialAnalytic|TestAnalyticCurveInvariants' ./i
 if [ "${1:-}" = "fast" ]; then
 	echo "== go test (no race)"
 	go test ./...
+	echo "== krr-bucket key table vs slot-arena reference (oracle)"
+	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete' ./internal/core/
 	echo "== model conformance + snapshots (-race)"
 	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce' ./internal/model/ ./internal/shardpipe/
 	echo "== redislike + dlru (-race: duel counters, controller retarget)"
