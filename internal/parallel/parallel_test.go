@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -30,9 +31,16 @@ func TestForEachEmpty(t *testing.T) {
 }
 
 func TestForEachParallelism(t *testing.T) {
-	// With 4 workers at least 2 goroutines must overlap; detect via a
-	// high-water mark of concurrently active calls.
+	// With 4 workers at least 2 calls must be active at once. Each call
+	// blocks until a second call is active (or a timeout fires), so the
+	// overlap does not depend on CPU count or scheduling luck; a serial
+	// ForEach waits out the timeout once and reports peak=1.
 	var active, peak int32
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	timer := time.AfterFunc(5*time.Second, open)
+	defer timer.Stop()
 	ForEach(64, 4, func(int) {
 		a := atomic.AddInt32(&active, 1)
 		for {
@@ -41,13 +49,14 @@ func TestForEachParallelism(t *testing.T) {
 				break
 			}
 		}
-		for i := 0; i < 1000; i++ { // small spin to encourage overlap
-			_ = i
+		if a >= 2 {
+			open()
 		}
+		<-release
 		atomic.AddInt32(&active, -1)
 	})
 	if peak < 2 {
-		t.Skipf("no overlap observed (peak=%d); single-CPU machine?", peak)
+		t.Fatalf("no overlap observed (peak=%d); ForEach ran serially", peak)
 	}
 }
 
