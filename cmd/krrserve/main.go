@@ -436,39 +436,38 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"ingested\": %d}\n", count)
 }
 
-// snapshot reads a tenant's live curves, serving 404 for unknown ids
-// (the legacy default tenant is auto-created instead, so pre-ingest
-// reads keep returning the empty curve as before).
-func (s *server) snapshot(w http.ResponseWriter, r *http.Request) (model.Snapshot, bool) {
+// read takes a tenant's live curve in the requested unit, serving 404
+// for unknown ids (the legacy default tenant is auto-created instead,
+// so pre-ingest reads keep returning the empty curve as before) and
+// 400 for a bad unit. The caller releases the read.
+func (s *server) read(w http.ResponseWriter, r *http.Request) (fleet.CurveRead, bool) {
 	id := tenantID(r)
 	if id == defaultTenant {
 		if _, err := s.reg.Ensure(id); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return model.Snapshot{}, false
+			return fleet.CurveRead{}, false
 		}
 	}
-	snap, err := s.reg.Snapshot(id)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return model.Snapshot{}, false
-	}
-	s.snapshots.Inc()
-	return snap, true
-}
-
-// curveFrom picks the requested granularity out of a snapshot.
-func curveFrom(snap model.Snapshot, r *http.Request) (*mrc.Curve, error) {
+	var bytes bool
 	switch unit := r.URL.Query().Get("unit"); unit {
 	case "", "objects":
-		return snap.Object, nil
 	case "bytes":
-		if snap.Byte == nil {
-			return nil, errors.New("model was built without a byte mode (-bytes off)")
-		}
-		return snap.Byte, nil
+		bytes = true
 	default:
-		return nil, fmt.Errorf("unknown unit %q (want objects or bytes)", unit)
+		http.Error(w, fmt.Sprintf("unknown unit %q (want objects or bytes)", unit), http.StatusBadRequest)
+		return fleet.CurveRead{}, false
 	}
+	rd, err := s.reg.Read(id, bytes)
+	switch {
+	case errors.Is(err, fleet.ErrNoByteCurve):
+		http.Error(w, "model was built without a byte mode (-bytes off)", http.StatusBadRequest)
+		return fleet.CurveRead{}, false
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return fleet.CurveRead{}, false
+	}
+	s.snapshots.Inc()
+	return rd, true
 }
 
 func (s *server) handleMRC(w http.ResponseWriter, r *http.Request) {
@@ -478,40 +477,33 @@ func (s *server) handleMRC(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad size %q: %v", sizeStr, err), http.StatusBadRequest)
 		return
 	}
-	snap, ok := s.snapshot(w, r)
+	rd, ok := s.read(w, r)
 	if !ok {
 		return
 	}
-	c, err := curveFrom(snap, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	miss := rd.Eval(size)
+	rd.Release()
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"size\": %d, \"miss_ratio\": %g, \"requests\": %d}\n",
-		size, c.Eval(size), snap.Stats.Seen)
+		size, miss, rd.Stats.Seen)
 }
 
 func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
-	snap, ok := s.snapshot(w, r)
+	rd, ok := s.read(w, r)
 	if !ok {
 		return
 	}
-	c, err := curveFrom(snap, r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	defer rd.Release()
+	var n int
 	if pts := r.URL.Query().Get("points"); pts != "" {
-		n, err := strconv.Atoi(pts)
-		if err != nil || n < 2 {
+		var err error
+		if n, err = strconv.Atoi(pts); err != nil || n < 2 {
 			http.Error(w, fmt.Sprintf("bad points %q", pts), http.StatusBadRequest)
 			return
 		}
-		c = c.Downsample(n)
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := c.WriteJSON(w); err != nil {
+	if err := rd.WriteJSON(w, n); err != nil {
 		log.Printf("krrserve: curve write: %v", err)
 	}
 }
@@ -556,16 +548,14 @@ func (s *server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown unit %q (want objects or bytes)", unit), http.StatusBadRequest)
 		return
 	}
+	// One read of every tenant feeds the plan and both baselines, so
+	// they compare the same curves.
 	demands, err := s.reg.Demands(unit)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	plan, err := s.reg.Allocate(budget, unit)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	plan := s.reg.Waterfill(demands, budget, unit)
 	if err := plan.Feasible(); err != nil {
 		http.Error(w, fmt.Sprintf("internal: %v", err), http.StatusInternalServerError)
 		return

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 
@@ -145,35 +146,86 @@ func Waterfill(demands []Demand, budget uint64) Plan {
 		remaining -= s.width
 	}
 	// Fine phase: single MRC breakpoints that fit the remainder, best
-	// marginal gain per unit first. Each round advances one tenant one
-	// breakpoint, so the loop is bounded by the total breakpoint count.
-	for {
-		best, bestT := -1.0, -1
-		var bestCap uint64
-		for t, d := range demands {
-			cur := alloc[t]
-			curGain := d.Weight * (d.Curve.Eval(0) - d.Curve.Eval(cur))
-			for i, size := range d.Curve.Sizes {
-				if size <= cur || size-cur > remaining {
-					continue
-				}
-				dg := d.Weight*(d.Curve.Eval(0)-d.Curve.Miss[i]) - curGain
-				if dg <= 0 {
-					continue
-				}
-				if score := dg / float64(size-cur); score > best {
-					best, bestT, bestCap = score, t, size
-				}
-				break // sizes ascend; the nearest improving step per tenant per round
-			}
+	// marginal gain per unit first (ties to the lower tenant index).
+	// Each tenant offers its nearest improving breakpoint past its
+	// current capacity; taking it advances only that tenant's cursor,
+	// so every curve is scanned once, and a step that no longer fits
+	// never will again (the remainder only shrinks), retiring its
+	// tenant for good.
+	steps := make(stepHeap, 0, len(demands))
+	cursor := make([]int, len(demands))
+	for t := range demands {
+		if st, ok := nextStep(demands[t], t, alloc[t], &cursor[t]); ok {
+			steps = append(steps, st)
 		}
-		if bestT < 0 {
-			break
+	}
+	heap.Init(&steps)
+	for len(steps) > 0 {
+		st := steps[0]
+		if st.cap-alloc[st.tenant] > remaining {
+			heap.Pop(&steps)
+			continue
 		}
-		remaining -= bestCap - alloc[bestT]
-		alloc[bestT] = bestCap
+		remaining -= st.cap - alloc[st.tenant]
+		alloc[st.tenant] = st.cap
+		if next, ok := nextStep(demands[st.tenant], st.tenant, st.cap, &cursor[st.tenant]); ok {
+			steps[0] = next
+			heap.Fix(&steps, 0)
+		} else {
+			heap.Pop(&steps)
+		}
 	}
 	return buildPlan("waterfill", demands, alloc, budget)
+}
+
+// step is a tenant's nearest improving breakpoint in the fine phase.
+type step struct {
+	tenant int
+	cap    uint64
+	score  float64 // weighted miss-ratio gain per capacity unit
+}
+
+// nextStep scans d's breakpoints from *cursor for the first one past
+// capacity cur that improves on it, leaving *cursor there. Breakpoints
+// it passes are at or below cur or do not improve on it, so they can
+// never be a later step either.
+func nextStep(d Demand, tenant int, cur uint64, cursor *int) (step, bool) {
+	base := d.Curve.Eval(0)
+	curGain := d.Weight * (base - d.Curve.Eval(cur))
+	for i := *cursor; i < len(d.Curve.Sizes); i++ {
+		size := d.Curve.Sizes[i]
+		if size <= cur {
+			continue
+		}
+		dg := d.Weight*(base-d.Curve.Miss[i]) - curGain
+		if dg <= 0 {
+			continue
+		}
+		*cursor = i
+		return step{tenant: tenant, cap: size, score: dg / float64(size-cur)}, true
+	}
+	*cursor = len(d.Curve.Sizes)
+	return step{}, false
+}
+
+// stepHeap orders fine-phase steps by score, highest first, then by
+// tenant index.
+type stepHeap []step
+
+func (h stepHeap) Len() int { return len(h) }
+func (h stepHeap) Less(i, j int) bool {
+	if h[i].score != h[j].score {
+		return h[i].score > h[j].score
+	}
+	return h[i].tenant < h[j].tenant
+}
+func (h stepHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *stepHeap) Push(x any)   { *h = append(*h, x.(step)) }
+func (h *stepHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // UniformSplit gives every tenant an equal share of the budget.

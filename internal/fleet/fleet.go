@@ -27,7 +27,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"krr/internal/histogram"
 	"krr/internal/model"
+	"krr/internal/mrc"
 	"krr/internal/telemetry"
 	"krr/internal/trace"
 )
@@ -88,6 +90,7 @@ type Tenant struct {
 
 	set       *telemetry.Set
 	requests  telemetry.Counter
+	reads     telemetry.Counter
 	batches   uint64 // guarded by mu; drives footprint refresh cadence
 	footprint atomic.Int64
 	lastUse   atomic.Int64 // unix nanos
@@ -105,8 +108,103 @@ func (t *Tenant) Footprint() int64 { return t.footprint.Load() }
 // touch refreshes the LRU clock.
 func (t *Tenant) touch(now time.Time) { t.lastUse.Store(now.UnixNano()) }
 
-// Snapshot reads the tenant's live curves without finalizing.
+// ErrNoByteCurve is returned for byte-curve reads of a tenant whose
+// model was not built in a byte mode.
+var ErrNoByteCurve = errors.New("fleet: tenant model has no byte curve")
+
+// histCopies recycles the object-histogram copies curve reads take
+// under the tenant lock.
+var histCopies = sync.Pool{New: func() any { return new(histogram.Dense) }}
+
+// CurveRead is one point-in-time read of a tenant curve. Only the read
+// itself holds the tenant lock — for a model.HistReader model it is a
+// copy of the object histogram into a pooled buffer — and evaluating,
+// writing or building the curve happens after the lock is released.
+// Call Release when done; a CurveRead is not safe for concurrent use.
+type CurveRead struct {
+	// Stats are the tenant's stream counters at the moment of the read.
+	Stats model.Stats
+	hist  *histogram.Dense // pooled copy; nil when curve is set
+	scale float64
+	curve *mrc.Curve
+}
+
+// Eval returns the miss ratio at a cache size, without allocating for
+// a histogram copy.
+func (c *CurveRead) Eval(size uint64) float64 {
+	if c.hist != nil {
+		return mrc.HistCurve{H: c.hist, Scale: c.scale}.Eval(size)
+	}
+	return c.curve.Eval(size)
+}
+
+// WriteJSON writes the curve, downsampled to at most points breakpoints
+// when points > 0, byte-identical to Curve().Downsample(points).WriteJSON(w).
+func (c *CurveRead) WriteJSON(w io.Writer, points int) error {
+	if c.hist != nil {
+		return mrc.HistCurve{H: c.hist, Scale: c.scale}.WriteJSON(w, points)
+	}
+	return c.curve.Downsample(points).WriteJSON(w)
+}
+
+// Curve builds the curve.
+func (c *CurveRead) Curve() *mrc.Curve {
+	if c.hist != nil {
+		return mrc.FromHistogram(c.hist, c.scale)
+	}
+	return c.curve
+}
+
+// Release returns the read's histogram copy to the pool. The read is
+// unusable afterwards.
+func (c *CurveRead) Release() {
+	if c.hist != nil {
+		histCopies.Put(c.hist)
+		c.hist = nil
+	}
+}
+
+// Read reads the tenant's live object curve, or its byte curve when
+// bytes is set, without finalizing. Object reads of a model.HistReader
+// model hold the tenant lock only for a histogram copy; every other
+// read takes a model snapshot under the lock, as Snapshot does.
+func (t *Tenant) Read(bytes bool) (CurveRead, error) {
+	t.reads.Inc()
+	if !bytes {
+		if hr, ok := t.model.(model.HistReader); ok {
+			h := histCopies.Get().(*histogram.Dense)
+			t.mu.Lock()
+			scale, st, ok := hr.ReadObjectHist(h)
+			t.mu.Unlock()
+			if ok {
+				return CurveRead{Stats: st, hist: h, scale: scale}, nil
+			}
+			histCopies.Put(h)
+		}
+	}
+	t.mu.Lock()
+	snap := t.model.Snapshot()
+	t.mu.Unlock()
+	c := snap.Object
+	if bytes {
+		if snap.Byte == nil {
+			return CurveRead{}, ErrNoByteCurve
+		}
+		c = snap.Byte
+	}
+	return CurveRead{Stats: snap.Stats, curve: c}, nil
+}
+
+// Snapshot reads the tenant's live curves without finalizing. Without
+// byte curves it is an object Read whose curve is built after the
+// tenant lock is released.
 func (t *Tenant) Snapshot() model.Snapshot {
+	if t.Spec.Options.Bytes == model.BytesOff {
+		rd, _ := t.Read(false) // object reads cannot fail
+		defer rd.Release()
+		return model.Snapshot{Object: rd.Curve(), Stats: rd.Stats}
+	}
+	t.reads.Inc()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.model.Snapshot()
@@ -222,6 +320,7 @@ func (r *Registry) newTenant(id string, spec Spec) (*Tenant, error) {
 		ms.MetricsInto(t.set, "krr_model_")
 	}
 	t.set.CounterFunc("tenant_requests_total", "requests ingested for this tenant", t.requests.Load)
+	t.set.CounterFunc("tenant_curve_reads_total", "live curve reads (snapshots, queries, allocation demands)", t.reads.Load)
 	t.set.GaugeFunc("tenant_footprint_bytes", "cached model footprint in bytes", func() float64 {
 		return float64(t.footprint.Load())
 	})
@@ -349,12 +448,30 @@ func (r *Registry) IngestBatch(id string, reqs []trace.Request) error {
 
 // Snapshot reads a tenant's live curves.
 func (r *Registry) Snapshot(id string) (model.Snapshot, error) {
+	t, err := r.use(id)
+	if err != nil {
+		return model.Snapshot{}, err
+	}
+	return t.Snapshot(), nil
+}
+
+// Read reads one of a tenant's live curves (see Tenant.Read).
+func (r *Registry) Read(id string, bytes bool) (CurveRead, error) {
+	t, err := r.use(id)
+	if err != nil {
+		return CurveRead{}, err
+	}
+	return t.Read(bytes)
+}
+
+// use looks a tenant up for a read and refreshes its LRU clock.
+func (r *Registry) use(id string) (*Tenant, error) {
 	t, ok := r.Get(id)
 	if !ok {
-		return model.Snapshot{}, fmt.Errorf("%w: %s", ErrNoTenant, id)
+		return nil, fmt.Errorf("%w: %s", ErrNoTenant, id)
 	}
 	t.touch(r.cfg.Clock())
-	return t.Snapshot(), nil
+	return t, nil
 }
 
 // List returns tenant rows sorted by id.
@@ -489,21 +606,19 @@ func (r *Registry) Demands(unit string) ([]Demand, error) {
 
 	var demands []Demand
 	for _, t := range tenants {
-		snap := t.Snapshot()
-		curve := snap.Object
-		if unit == "bytes" {
-			if snap.Byte == nil {
-				return nil, fmt.Errorf("fleet: tenant %s has no byte curve (model %s not in a byte mode)", t.ID, t.Spec.Model)
-			}
-			curve = snap.Byte
+		rd, err := t.Read(unit == "bytes")
+		if err != nil { // ErrNoByteCurve
+			return nil, fmt.Errorf("fleet: tenant %s has no byte curve (model %s not in a byte mode)", t.ID, t.Spec.Model)
 		}
-		if snap.Stats.Seen == 0 || curve == nil {
+		curve := rd.Curve()
+		rd.Release()
+		if rd.Stats.Seen == 0 || curve == nil {
 			continue
 		}
 		demands = append(demands, Demand{
 			Tenant: t.ID,
 			Curve:  curve,
-			Weight: float64(snap.Stats.Seen),
+			Weight: float64(rd.Stats.Seen),
 		})
 	}
 	return demands, nil
@@ -516,12 +631,19 @@ func (r *Registry) Allocate(budget uint64, unit string) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
+	return r.Waterfill(demands, budget, unit), nil
+}
+
+// Waterfill plans budget over demands already read by Demands, so a
+// caller that also wants the baseline splits computes all of them from
+// one read of every tenant.
+func (r *Registry) Waterfill(demands []Demand, budget uint64, unit string) Plan {
 	r.allocations.Inc()
 	plan := Waterfill(demands, budget)
 	if unit == "bytes" {
 		plan.Unit = "bytes"
 	}
-	return plan, nil
+	return plan
 }
 
 // MetricsInto registers fleet-level metrics under prefix.

@@ -120,23 +120,46 @@ func (h *Dense) Buckets(fn func(distance, count uint64)) {
 // metadata numbers.
 func (h *Dense) MemBytes() uint64 { return uint64(cap(h.counts))*8 + 24 }
 
+// Counts returns the per-distance counts, indexed by distance (index
+// 0 is unused and always 0). The slice aliases the histogram's storage:
+// read it only while nothing writes to h.
+func (h *Dense) Counts() []uint64 { return h.counts }
+
 // Clone returns an independent deep copy — the basis for
 // non-destructive snapshot reads, where a correction or flush is
 // applied to the copy while the live histogram keeps accumulating.
 func (h *Dense) Clone() *Dense {
-	out := &Dense{cold: h.cold, total: h.total}
-	out.counts = append(out.counts, h.counts...)
+	out := &Dense{}
+	out.CopyFrom(h)
 	return out
+}
+
+// CopyFrom makes h an exact copy of src, reusing h's storage when it
+// is large enough — one memmove, so a reader can copy a live histogram
+// quickly under a lock and work on the copy after releasing it.
+func (h *Dense) CopyFrom(src *Dense) {
+	h.counts = append(h.counts[:0], src.counts...)
+	h.cold, h.total = src.cold, src.total
+}
+
+// Reset empties h, keeping its storage for reuse.
+func (h *Dense) Reset() {
+	h.counts = h.counts[:0]
+	h.cold, h.total = 0, 0
 }
 
 // Merge folds other into h.
 func (h *Dense) Merge(other *Dense) {
-	other.Buckets(func(d, c uint64) {
-		for uint64(len(h.counts)) <= d {
-			h.counts = append(h.counts, 0)
-		}
+	src := other.counts
+	for len(src) > 0 && src[len(src)-1] == 0 {
+		src = src[:len(src)-1]
+	}
+	if n := len(src) - len(h.counts); n > 0 {
+		h.counts = append(h.counts, make([]uint64, n)...)
+	}
+	for d, c := range src {
 		h.counts[d] += c
-	})
+	}
 	h.cold += other.cold
 	h.total += other.total
 }

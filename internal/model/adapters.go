@@ -21,8 +21,9 @@ import (
 // expressed in: a spatial filter (external, applied here, or internal
 // to the technique and mirrored only for the Sampled counter), a
 // per-request process function, an optional finalization flush, and
-// curve constructors. CapSharded models additionally expose their raw
-// histograms for the Sharded wrapper's merge.
+// curve constructors. Models whose object curve is one dense histogram's
+// (the CapSharded ones) hold that histogram instead of an object curve
+// constructor: the Sharded wrapper merges it, and HistReader copies it.
 type streamModel struct {
 	finalizer
 	// filter, when non-nil, drops unsampled requests before process —
@@ -31,9 +32,10 @@ type streamModel struct {
 	filter *sampling.Filter
 	// admit, when non-nil, mirrors an internal filter's admission
 	// decision purely for the Sampled counter (aet, shards).
-	admit     func(key uint64) bool
-	process   func(trace.Request)
-	flush     func() // optional; runs once at finalization
+	admit   func(key uint64) bool
+	process func(trace.Request)
+	flush   func() // optional; runs once at finalization
+	// objCurve builds the object curve; nil when objDense is set.
 	objCurve  func() *mrc.Curve
 	byteCurve func() *mrc.Curve // nil = byte curves off or unsupported
 	// snapObj overrides the object curve for non-finalizing snapshots.
@@ -49,8 +51,11 @@ type streamModel struct {
 	// be called under the same serialization as process.
 	footprint func() uint64
 
-	// Mergeable histograms for CapSharded models; nil otherwise.
+	// Mergeable histograms for CapSharded models; nil otherwise. The
+	// object curve of such a model is mrc.FromHistogram(objDense,
+	// objScale).
 	objDense *histogram.Dense
+	objScale float64
 	byteLog  *histogram.Log
 
 	// Stream counters are atomics so MetricsInto consumers (a /metrics
@@ -85,10 +90,18 @@ func (m *streamModel) finalizeOnce() {
 	m.finalize()
 }
 
+// object builds the object curve.
+func (m *streamModel) object() *mrc.Curve {
+	if m.objDense != nil {
+		return mrc.FromHistogram(m.objDense, m.objScale)
+	}
+	return m.objCurve()
+}
+
 // ObjectMRC implements Model.
 func (m *streamModel) ObjectMRC() *mrc.Curve {
 	m.finalizeOnce()
-	return m.objCurve()
+	return m.object()
 }
 
 // ByteMRC implements Model.
@@ -111,7 +124,7 @@ func (m *streamModel) Snapshot() Snapshot {
 	if m.snapObj != nil && !m.finalized {
 		snap.Object = m.snapObj()
 	} else {
-		snap.Object = m.objCurve()
+		snap.Object = m.object()
 	}
 	if m.byteCurve != nil {
 		snap.Byte = m.byteCurve()
@@ -141,6 +154,16 @@ func (m *streamModel) Footprint() int64 {
 		return 0
 	}
 	return int64(m.footprint())
+}
+
+// ReadObjectHist implements HistReader for the models that hold a
+// dense object histogram, and reports ok == false for the rest.
+func (m *streamModel) ReadObjectHist(dst *histogram.Dense) (scale float64, st Stats, ok bool) {
+	if m.objDense == nil {
+		return 0, Stats{}, false
+	}
+	dst.CopyFrom(m.objDense)
+	return m.objScale, m.Stats(), true
 }
 
 func (m *streamModel) objHist() *histogram.Dense { return m.objDense }
@@ -189,8 +212,8 @@ func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 		m := &streamModel{
 			filter:   filter,
 			process:  p.Process,
-			objCurve: func() *mrc.Curve { return mrc.FromHistogram(p.ObjHist(), scale) },
 			objDense: p.ObjHist(),
+			objScale: scale,
 			metrics:  p.Stack().MetricsInto,
 		}
 		m.footprint = func() uint64 {
@@ -227,8 +250,8 @@ func newKRRBucket(o Options) (Model, error) {
 	return &streamModel{
 		filter:    filter,
 		process:   p.Process,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(p.ObjHist(), scale) },
 		objDense:  p.ObjHist(),
+		objScale:  scale,
 		metrics:   p.Stack().MetricsInto,
 		footprint: func() uint64 { return p.Stack().MemoryOverheadBytes() + p.ObjHist().MemBytes() },
 	}, nil
@@ -242,8 +265,8 @@ func newOlken(o Options) (Model, error) {
 	m := &streamModel{
 		filter:    filter,
 		process:   p.Process,
-		objCurve:  func() *mrc.Curve { return p.ObjectMRC(scale) },
 		objDense:  p.ObjHist(),
+		objScale:  scale,
 		footprint: p.MemoryOverheadBytes,
 	}
 	if o.Bytes != BytesOff {
@@ -352,8 +375,8 @@ func newMimir(o Options) (Model, error) {
 	return &streamModel{
 		filter:    filter,
 		process:   m.Process,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(m.Hist(), scale) },
 		objDense:  m.Hist(),
+		objScale:  scale,
 		footprint: m.MemoryOverheadBytes,
 	}, nil
 }

@@ -47,6 +47,7 @@ import (
 
 	"krr/internal/cheform"
 	"krr/internal/core"
+	"krr/internal/histogram"
 	"krr/internal/mrc"
 	"krr/internal/telemetry"
 	"krr/internal/trace"
@@ -271,6 +272,21 @@ type Model interface {
 	Snapshot() Snapshot
 	// Stats reports stream counters.
 	Stats() Stats
+}
+
+// HistReader is implemented by models whose live object curve is
+// mrc.FromHistogram of one dense histogram: krr (every update method),
+// krr-bucket, olken, mimir, and Sharded over any of them. It is the
+// cheap curve read for a model behind a lock — copy the histogram
+// under the lock, build or walk the curve after releasing it.
+type HistReader interface {
+	// ReadObjectHist copies the object histogram into dst, reusing
+	// dst's storage, and returns the distance scale and the stream
+	// counters at the moment of the copy: mrc.FromHistogram(dst, scale)
+	// is then bit-identical to Snapshot().Object. Like Snapshot it
+	// does not finalize. ok is false when the model has no such
+	// histogram; dst is untouched and callers fall back to Snapshot.
+	ReadObjectHist(dst *histogram.Dense) (scale float64, st Stats, ok bool)
 }
 
 // MetricSource is implemented by models that expose live internal

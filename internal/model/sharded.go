@@ -177,14 +177,31 @@ func (s *Sharded) scale() float64 {
 	return scale
 }
 
-// mergedObject merges the shard object histograms into one curve. The
-// caller must guarantee the workers are not mutating them: hold mu and
-// be finalized, or be inside a pipe.Quiesce callback.
+// withWorkersParked runs fn while no worker mutates shard state: after
+// finalization directly, mid-stream inside a pipe quiesce. The caller
+// holds mu.
+func (s *Sharded) withWorkersParked(fn func()) {
+	if s.finalized {
+		fn()
+	} else {
+		s.pipe.Quiesce(fn)
+	}
+}
+
+// mergeObjectInto merges the shard object histograms into dst. Same
+// safety contract as withWorkersParked's fn.
+func (s *Sharded) mergeObjectInto(dst *histogram.Dense) {
+	dst.Reset()
+	for _, src := range s.sources {
+		dst.Merge(src.objHist())
+	}
+}
+
+// mergedObject merges the shard object histograms into one curve; same
+// safety contract as mergeObjectInto.
 func (s *Sharded) mergedObject() *mrc.Curve {
 	merged := histogram.NewDense(1024)
-	for _, src := range s.sources {
-		merged.Merge(src.objHist())
-	}
+	s.mergeObjectInto(merged)
 	return mrc.FromHistogram(merged, s.scale())
 }
 
@@ -233,18 +250,24 @@ func (s *Sharded) Snapshot() Snapshot {
 	snap := Snapshot{
 		Stats: Stats{Seen: s.seen.Load(), Sampled: s.sampled.Load(), Finalized: s.finalized},
 	}
-	merge := func() {
+	s.withWorkersParked(func() {
 		snap.Object = s.mergedObject()
 		if s.bytes {
 			snap.Byte = s.mergedByte()
 		}
-	}
-	if s.finalized {
-		merge()
-	} else {
-		s.pipe.Quiesce(merge)
-	}
+	})
 	return snap
+}
+
+// ReadObjectHist implements HistReader: it merges the shard object
+// histograms into dst during the same quiesce Snapshot uses, and
+// returns the W/R rescale.
+func (s *Sharded) ReadObjectHist(dst *histogram.Dense) (scale float64, st Stats, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st = Stats{Seen: s.seen.Load(), Sampled: s.sampled.Load(), Finalized: s.finalized}
+	s.withWorkersParked(func() { s.mergeObjectInto(dst) })
+	return s.scale(), st, true
 }
 
 // Stats implements Model, reporting router-side counters.
@@ -262,16 +285,11 @@ func (s *Sharded) Footprint() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	sum := func() {
+	s.withWorkersParked(func() {
 		for _, sub := range s.subs {
 			total += FootprintOf(sub)
 		}
-	}
-	if s.finalized {
-		sum()
-	} else {
-		s.pipe.Quiesce(sum)
-	}
+	})
 	return total
 }
 

@@ -99,28 +99,34 @@ func FromPoints(sizes []uint64, miss []float64) *Curve {
 // d*scale whose miss ratio counts all references with distance > d
 // plus cold misses.
 func FromHistogram(h histogram.Histogram, scale float64) *Curve {
+	if d, ok := h.(*histogram.Dense); ok {
+		return HistCurve{H: d, Scale: scale}.Curve()
+	}
 	if scale <= 0 {
 		panic("mrc: non-positive scale")
 	}
-	total := h.Total()
-	c := &Curve{Sizes: []uint64{0}, Miss: []float64{1}, Interp: InterpStep}
-	if total == 0 {
-		return c
+	// Other representations fold their Buckets by the same rule as
+	// HistCurve's walk: one pass to count the breakpoints, one to fill
+	// exact-size slices.
+	fold := func(emit func(size, at uint64)) {
+		var psize, pat, cum uint64
+		h.Buckets(func(d, count uint64) {
+			cum += count
+			if s := bucketSize(d, scale); s != psize {
+				emit(psize, pat)
+				psize = s
+			}
+			pat = cum
+		})
+		emit(psize, pat)
 	}
-	var cum uint64
-	h.Buckets(func(d, count uint64) {
-		cum += count
-		size := uint64(float64(d)*scale + 0.5)
-		if size == 0 {
-			size = 1
-		}
-		m := 1 - float64(cum)/float64(total)
-		if n := len(c.Sizes); c.Sizes[n-1] == size {
-			c.Miss[n-1] = m
-			return
-		}
+	n := 0
+	fold(func(uint64, uint64) { n++ })
+	c := &Curve{Sizes: make([]uint64, 0, n), Miss: make([]float64, 0, n), Interp: InterpStep}
+	total := float64(h.Total())
+	fold(func(size, at uint64) {
 		c.Sizes = append(c.Sizes, size)
-		c.Miss = append(c.Miss, m)
+		c.Miss = append(c.Miss, missAt(at, total))
 	})
 	return c
 }
@@ -227,13 +233,17 @@ type curveJSON struct {
 	Interp string    `json:"interp"`
 }
 
+// interpName is the JSON tag of an interpolation mode.
+func interpName(i Interp) string {
+	if i == InterpStep {
+		return "step"
+	}
+	return "linear"
+}
+
 // MarshalJSON encodes the curve with a readable interpolation tag.
 func (c *Curve) MarshalJSON() ([]byte, error) {
-	interp := "linear"
-	if c.Interp == InterpStep {
-		interp = "step"
-	}
-	return json.Marshal(curveJSON{Sizes: c.Sizes, Miss: c.Miss, Interp: interp})
+	return json.Marshal(curveJSON{Sizes: c.Sizes, Miss: c.Miss, Interp: interpName(c.Interp)})
 }
 
 // UnmarshalJSON decodes a curve, validating monotone sizes and
@@ -266,12 +276,6 @@ func (c *Curve) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WriteJSON emits the curve as a JSON document.
-func (c *Curve) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(c)
-}
-
 // ReadJSON decodes a curve written by WriteJSON.
 func ReadJSON(r io.Reader) (*Curve, error) {
 	var c Curve
@@ -299,14 +303,10 @@ func (c *Curve) Downsample(n int) *Curve {
 	if n <= 0 || c.Len() <= n {
 		return c
 	}
-	if n == 1 {
-		last := c.Len() - 1
-		return &Curve{Sizes: []uint64{c.Sizes[last]}, Miss: []float64{c.Miss[last]}, Interp: c.Interp}
-	}
 	out := &Curve{Sizes: make([]uint64, 0, n), Miss: make([]float64, 0, n), Interp: c.Interp}
 	last := c.Len() - 1
 	for i := 0; i < n; i++ {
-		idx := i * last / (n - 1)
+		idx := downsampleIndex(i, n, last)
 		if m := len(out.Sizes); m > 0 && out.Sizes[m-1] == c.Sizes[idx] {
 			continue
 		}

@@ -43,8 +43,10 @@ if [ "${1:-}" = "fast" ]; then
 	go test ./...
 	echo "== krr-bucket key table vs slot-arena reference (oracle)"
 	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete' ./internal/core/
-	echo "== model conformance + snapshots (-race)"
-	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce' ./internal/model/ ./internal/shardpipe/
+	echo "== model conformance + snapshots + histogram reads (-race)"
+	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce|TestReadObjectHist' ./internal/model/ ./internal/shardpipe/
+	echo "== fleet curve reads under ingest (-race)"
+	go test -race -run 'TestTenantRead' ./internal/fleet/
 	echo "== redislike + dlru (-race: duel counters, controller retarget)"
 	go test -race ./internal/redislike/... ./internal/dlru/...
 else
@@ -66,6 +68,12 @@ go test -count=1 -run TestIngestSmoke ./cmd/krrserve/
 
 echo "== wire hot-path alloc guard (decode must stay allocation-free)"
 go test -count=1 -run TestDecodeHotPathAllocFree ./internal/wire/
+
+echo "== curve read path (alloc guards; walker, JSON writer, waterfill and responses pinned to references)"
+go test -count=1 -run 'TestTenantMissRatioReadAllocFree|TestFullCurveWriteAllocGuard|TestWaterfillMatchesReference|TestWaterfillLinearCurvesMatchReference|TestTenantReadMatchesModelSnapshot' ./internal/fleet/
+go test -count=1 -run 'TestHistCurveMatchesReference|TestFromHistogramLogMatchesReference|TestWriteJSONMatchesEncodingJSON|TestHistCurveEvalAllocFree' ./internal/mrc/
+go test -count=1 -run 'TestReadObjectHistMatchesSnapshot' ./internal/model/
+go test -count=1 -run 'TestReadResponsesMatchSnapshotPath|TestAllocateReadsEachTenantOnce' ./cmd/krrserve/
 
 echo "== bench smoke (Table 5.3, 100x)"
 go test -run=NONE -bench=Table5_3 -benchtime=100x .
