@@ -34,7 +34,11 @@ results: ## regenerate the paper tables/figures under results/
 difftest: ## long randomized differential sweep (seed via DIFFTEST_SEED)
 	$(GO) test -tags difftest -count=1 -run TestDifferentialRandomSweep -v ./internal/difftest/
 
-fuzz-short: ## 10s per fuzz target: trace codec + model process loops
+fuzz-short: ## 10s per fuzz target: trace codec, ingest decoders (wire + NDJSON), model process loops
 	$(GO) test -fuzz=FuzzReadBinary -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadCSV -fuzztime=10s ./internal/trace/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadHeader$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecoder$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecoderDiscard$$' -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz='^FuzzNDJSON$$' -fuzztime=10s ./cmd/krrserve/
 	$(GO) test -fuzz=FuzzModelProcess -fuzztime=10s ./internal/difftest/

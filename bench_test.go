@@ -40,6 +40,22 @@ func benchTrace(b *testing.B, preset string, n int, variable bool) *trace.Trace 
 	return tr
 }
 
+// newModel builds a registered model for a benchmark.
+func newModel(b *testing.B, name string, opts model.Options) model.Model {
+	b.Helper()
+	m, err := model.New(name, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
+// replayModel is replay through a model's Process.
+func replayModel(b *testing.B, tr *trace.Trace, m model.Model) {
+	b.Helper()
+	replay(b, tr, func(r trace.Request) { m.Process(r) })
+}
+
 // replay feeds b.N requests (cycling the trace) into process. Every
 // replay-driven benchmark reports allocs/op: a steady-state model's
 // hot path should not allocate, and the counter catches one that
@@ -78,36 +94,31 @@ func BenchmarkTable5_1_KRRModel(b *testing.B) {
 	for _, k := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			tr := benchTrace(b, "msr-web", 1<<17, false)
-			prof := core.MustProfiler(core.Config{K: k, Seed: 1})
-			replay(b, tr, prof.Process)
+			replayModel(b, tr, newModel(b, "krr", model.Options{K: k, Seed: 1}))
 		})
 	}
 }
 
 func BenchmarkFig5_1_KRRSpatial(b *testing.B) {
 	tr := benchTrace(b, "msr-src1", 1<<17, false)
-	prof := core.MustProfiler(core.Config{K: 4, Seed: 1, SamplingRate: 0.01})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 4, Seed: 1, SamplingRate: 0.01}))
 }
 
 // --- Table 5.2 / Fig 5.3: variable-object-size models ----------------
 
 func BenchmarkTable5_2_VarKRR(b *testing.B) {
 	tr := benchTrace(b, "tw-26.0", 1<<17, true)
-	prof := core.MustProfiler(core.Config{K: 8, Seed: 1, Bytes: core.BytesSizeArray})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 8, Seed: 1, Bytes: model.BytesSizeArray}))
 }
 
 func BenchmarkFig5_3_UniKRR(b *testing.B) {
 	tr := benchTrace(b, "msr-web", 1<<17, true)
-	prof := core.MustProfiler(core.Config{K: 8, Seed: 1, Bytes: core.BytesUniform})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 8, Seed: 1, Bytes: model.BytesUniform}))
 }
 
 func BenchmarkFig5_3_VarKRRFenwick(b *testing.B) {
 	tr := benchTrace(b, "msr-web", 1<<17, true)
-	prof := core.MustProfiler(core.Config{K: 8, Seed: 1, Bytes: core.BytesFenwick})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 8, Seed: 1, Bytes: model.BytesFenwick}))
 }
 
 // --- Table 5.3: stack update efficiency (the headline speedups) ------
@@ -124,32 +135,27 @@ func BenchmarkTable5_3_Simulation(b *testing.B) {
 
 func BenchmarkTable5_3_BasicStackLinear(b *testing.B) {
 	tr := table53Trace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.Linear, Seed: 1})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr-linear", model.Options{K: 5, Seed: 1}))
 }
 
 func BenchmarkTable5_3_TopDown(b *testing.B) {
 	tr := table53Trace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.TopDown, Seed: 1})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr-topdown", model.Options{K: 5, Seed: 1}))
 }
 
 func BenchmarkTable5_3_Backward(b *testing.B) {
 	tr := table53Trace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.Backward, Seed: 1})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 5, Seed: 1}))
 }
 
 func BenchmarkTable5_3_TopDownSpatial(b *testing.B) {
 	tr := table53Trace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.TopDown, Seed: 1, SamplingRate: 0.01})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr-topdown", model.Options{K: 5, Seed: 1, SamplingRate: 0.01}))
 }
 
 func BenchmarkTable5_3_BackwardSpatial(b *testing.B) {
 	tr := table53Trace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.Backward, Seed: 1, SamplingRate: 0.01})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 5, Seed: 1, SamplingRate: 0.01}))
 }
 
 // --- Sharded pipeline: W-way hash-partitioned KRR --------------------
@@ -163,16 +169,11 @@ func BenchmarkShardedKRR(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
 			tr := benchTrace(b, "msr-web", 1<<17, false)
-			sp, err := core.NewShardedProfiler(core.Config{K: 8, Seed: 1, Workers: w})
+			sp, err := model.NewSharded("krr", w, model.Options{K: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			reqs := tr.Reqs
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp.Process(reqs[i%len(reqs)])
-			}
+			replay(b, tr, func(r trace.Request) { sp.Process(r) })
 			sp.Close()
 		})
 	}
@@ -189,11 +190,7 @@ func BenchmarkModels(b *testing.B) {
 	for _, info := range model.All() {
 		b.Run(info.Name, func(b *testing.B) {
 			tr := benchTrace(b, "msr-web", 1<<17, false)
-			m, err := model.New(info.Name, model.Options{Seed: 1, SamplingRate: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			replay(b, tr, func(r trace.Request) { m.Process(r) })
+			replayModel(b, tr, newModel(b, info.Name, model.Options{Seed: 1, SamplingRate: 1}))
 		})
 	}
 }
@@ -207,11 +204,7 @@ func BenchmarkKRRBucket(b *testing.B) {
 	for _, ratio := range []float64{1.25, 1.5, 2.0} {
 		b.Run(fmt.Sprintf("ratio=%v", ratio), func(b *testing.B) {
 			tr := benchTrace(b, "msr-web", 1<<17, false)
-			m, err := model.New("krr-bucket", model.Options{Seed: 1, SamplingRate: 1, BucketRatio: ratio})
-			if err != nil {
-				b.Fatal(err)
-			}
-			replay(b, tr, func(r trace.Request) { m.Process(r) })
+			replayModel(b, tr, newModel(b, "krr-bucket", model.Options{Seed: 1, SamplingRate: 1, BucketRatio: ratio}))
 		})
 	}
 }
@@ -222,9 +215,10 @@ func BenchmarkFig5_4_BackwardByK(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8, 16, 32} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			tr := benchTrace(b, "msr-web", 1<<17, false)
-			prof := core.MustProfiler(core.Config{K: k, Seed: 1})
-			replay(b, tr, prof.Process)
-			b.ReportMetric(float64(prof.Stack().SwapSteps())/float64(prof.Stack().Updates()), "swaps/update")
+			// The bare stack: swaps/update is a stack property.
+			st := core.NewStack(core.KPrimeFor(k), 1)
+			replay(b, tr, func(r trace.Request) { st.Reference(r.Key, r.Size) })
+			b.ReportMetric(float64(st.SwapSteps())/float64(st.Updates()), "swaps/update")
 		})
 	}
 }
@@ -237,14 +231,12 @@ func masterTrace(b *testing.B) *trace.Trace {
 
 func BenchmarkTable5_4_TopDownSpatial(b *testing.B) {
 	tr := masterTrace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.TopDown, Seed: 1, SamplingRate: 0.01})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr-topdown", model.Options{K: 5, Seed: 1, SamplingRate: 0.01}))
 }
 
 func BenchmarkTable5_4_BackwardSpatial(b *testing.B) {
 	tr := masterTrace(b)
-	prof := core.MustProfiler(core.Config{K: 5, Method: core.Backward, Seed: 1, SamplingRate: 0.01})
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "krr", model.Options{K: 5, Seed: 1, SamplingRate: 0.01}))
 }
 
 func BenchmarkTable5_4_SHARDS(b *testing.B) {
@@ -272,9 +264,9 @@ func BenchmarkFig5_5_RedisEngine(b *testing.B) {
 
 func BenchmarkSpace_StackMetadata(b *testing.B) {
 	tr := benchTrace(b, "msr-proj", 1<<17, false)
-	prof := core.MustProfiler(core.Config{K: 5, Seed: 1})
-	replay(b, tr, prof.Process)
-	if n := prof.Stack().Len(); n > 0 {
-		b.ReportMetric(float64(prof.Stack().MemoryOverheadBytes())/float64(n), "B/object")
+	st := core.NewStack(core.KPrimeFor(5), 1)
+	replay(b, tr, func(r trace.Request) { st.Reference(r.Key, r.Size) })
+	if n := st.Len(); n > 0 {
+		b.ReportMetric(float64(st.MemoryOverheadBytes())/float64(n), "B/object")
 	}
 }

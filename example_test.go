@@ -10,7 +10,7 @@ import (
 // reads the predicted miss ratio at a candidate capacity.
 func ExampleBuildMRC() {
 	gen := krr.PresetReader("loop", 0.02, 1, false) // 1000-object loop
-	curve, err := krr.BuildMRC(krr.Limit(gen, 50_000), krr.Config{
+	curve, err := krr.BuildMRC(krr.Limit(gen, 50_000), krr.ModelOptions{
 		K:    1, // pure random replacement: KRR is exact here
 		Seed: 7,
 	})
@@ -27,20 +27,23 @@ func ExampleBuildMRC() {
 	// miss at the full loop: 0.0
 }
 
-// ExampleNewProfiler shows streaming use with spatial sampling.
-func ExampleNewProfiler() {
-	p, err := krr.NewProfiler(krr.Config{K: 10, Seed: 1, SamplingRate: 0.5})
+// ExampleNewModel shows streaming use of the KRR model with spatial
+// sampling, read while the stream runs.
+func ExampleNewModel() {
+	m, err := krr.NewModel("krr", krr.ModelOptions{K: 10, Seed: 1, SamplingRate: 0.5})
 	if err != nil {
 		panic(err)
 	}
 	gen := krr.PresetReader("zipf", 0.02, 3, false)
 	for i := 0; i < 100_000; i++ {
 		req, _ := gen.Next()
-		p.Process(req) // negligible overhead next to serving the request
+		if err := m.Process(req); err != nil { // negligible overhead next to serving the request
+			panic(err)
+		}
 	}
-	curve := p.ObjectMRC()
-	fmt.Println("curve starts at miss ratio", curve.Eval(0))
-	fmt.Println("sampled a strict subset:", p.Sampled() < p.Seen())
+	snap := m.Snapshot() // Process stays legal afterwards
+	fmt.Println("curve starts at miss ratio", snap.Object.Eval(0))
+	fmt.Println("sampled a strict subset:", snap.Stats.Sampled < snap.Stats.Seen)
 	// Output:
 	// curve starts at miss ratio 1
 	// sampled a strict subset: true
@@ -61,7 +64,7 @@ func ExampleMAE() {
 	gen := krr.PresetReader("zipf", 0.01, 5, false)
 	tr, _ := krr.Collect(gen, 40_000)
 
-	model, _ := krr.BuildMRC(tr.Reader(), krr.Config{K: 5, Seed: 2})
+	model, _ := krr.BuildMRC(tr.Reader(), krr.ModelOptions{K: 5, Seed: 2})
 	sizes := krr.EvenSizes(1000, 5)
 	truth, _ := krr.SimulateMRC(tr, 5, sizes, 9, 2)
 

@@ -34,7 +34,7 @@ func main() {
 	}
 
 	// KRR: the K-LRU-aware model.
-	krrCurve, err := krr.BuildMRC(tr.Reader(), krr.Config{K: k, Seed: 1})
+	krrCurve, err := krr.BuildMRC(tr.Reader(), krr.ModelOptions{K: k, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

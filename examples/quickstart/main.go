@@ -18,7 +18,7 @@ func main() {
 	}
 
 	// One pass of KRR models a K-LRU cache at *every* size at once.
-	curve, err := krr.BuildMRC(krr.Limit(gen, 500_000), krr.Config{
+	curve, err := krr.BuildMRC(krr.Limit(gen, 500_000), krr.ModelOptions{
 		K:    10, // Redis default maxmemory-samples
 		Seed: 1,
 	})

@@ -26,7 +26,7 @@ func main() {
 
 	// One-pass KRR prediction with spatial sampling.
 	rate := krr.SamplingRateFor(sum.DistinctObjects)
-	model, err := krr.BuildMRC(tr.Reader(), krr.Config{K: k, Seed: 2, SamplingRate: rate})
+	model, err := krr.BuildMRC(tr.Reader(), krr.ModelOptions{K: k, Seed: 2, SamplingRate: rate})
 	if err != nil {
 		log.Fatal(err)
 	}

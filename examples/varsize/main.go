@@ -37,18 +37,16 @@ func main() {
 	}
 
 	build := func(mode krr.ByteMode) *krr.Curve {
-		p, err := krr.NewProfiler(krr.Config{K: k, Seed: 1, Bytes: mode})
+		m, err := krr.NewModel("krr", krr.ModelOptions{K: k, Seed: 1, Bytes: mode})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := p.ProcessAll(tr.Reader()); err != nil {
-			log.Fatal(err)
+		for _, req := range tr.Reqs {
+			if err := m.Process(req); err != nil {
+				log.Fatal(err)
+			}
 		}
-		c, err := p.ByteMRC()
-		if err != nil {
-			log.Fatal(err)
-		}
-		return c
+		return m.ByteMRC()
 	}
 	uni := build(krr.BytesUniform)
 	vark := build(krr.BytesSizeArray)

@@ -5,9 +5,9 @@ import (
 	"testing"
 
 	"krr/internal/aet"
-	"krr/internal/core"
 	"krr/internal/counterstacks"
 	"krr/internal/mimir"
+	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/olken"
 	"krr/internal/shards"
@@ -84,11 +84,14 @@ func TestAllLRUModelsAgree(t *testing.T) {
 		}},
 		{"krr-huge-k", 0.03, func() (*mrc.Curve, error) {
 			// KRR converges to the LRU stack as K grows (§4.1).
-			p := core.MustProfiler(core.Config{K: 64, Seed: 5})
-			if err := p.ProcessAll(tr.Reader()); err != nil {
+			m, err := model.New("krr", model.Options{K: 64, Seed: 5})
+			if err != nil {
 				return nil, err
 			}
-			return p.ObjectMRC(), nil
+			if err := model.ProcessAll(m, tr.Reader()); err != nil {
+				return nil, err
+			}
+			return m.ObjectMRC(), nil
 		}},
 	}
 	for _, m := range models {

@@ -224,20 +224,13 @@ func TestBucketRatioConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := MustProfiler(Config{K: 8, Seed: 21})
-	if err := ref.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	refCurve := ref.ObjectMRC()
+	refCurve := replayCurve(NewStack(KPrimeFor(8), 21), tr)
 	sizes := mrc.EvenSizes(3000, 30)
 
 	maes := make(map[float64]float64)
 	for _, ratio := range []float64{1, 2, 4} {
-		p := MustBucketProfiler(BucketConfig{K: 8, Ratio: ratio, Seed: 22})
-		if err := p.ProcessAll(tr.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		maes[ratio] = mrc.MAE(refCurve, p.ObjectMRC(), sizes)
+		curve := replayCurve(NewBucketStack(KPrimeFor(8), ratio, 22), tr)
+		maes[ratio] = mrc.MAE(refCurve, curve, sizes)
 		t.Logf("ratio %.2f: MAE vs backward = %.4f", ratio, maes[ratio])
 	}
 	// Ratio 1 is the same distance law as backward up to sampling
@@ -250,27 +243,5 @@ func TestBucketRatioConvergence(t *testing.T) {
 	}
 	if maes[1] > maes[4]+0.01 {
 		t.Fatalf("MAE did not shrink toward ratio 1: ratio1=%.4f ratio4=%.4f", maes[1], maes[4])
-	}
-}
-
-func TestBucketConfigValidate(t *testing.T) {
-	if _, err := NewBucketProfiler(BucketConfig{K: 0}); err == nil {
-		t.Fatal("K = 0 must be rejected")
-	}
-	if _, err := NewBucketProfiler(BucketConfig{K: 5, Ratio: 0.5}); err == nil {
-		t.Fatal("ratio 0.5 must be rejected")
-	}
-	if _, err := NewBucketProfiler(BucketConfig{K: 5, Ratio: 9}); err == nil {
-		t.Fatal("ratio 9 must be rejected")
-	}
-	if _, err := NewBucketProfiler(BucketConfig{K: 5, SamplingRate: 2}); err == nil {
-		t.Fatal("sampling rate 2 must be rejected")
-	}
-	p, err := NewBucketProfiler(BucketConfig{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Stack().Ratio(); got != DefaultBucketRatio {
-		t.Fatalf("default ratio = %v, want %v", got, DefaultBucketRatio)
 	}
 }

@@ -4,11 +4,30 @@ import (
 	"math"
 	"testing"
 
+	"krr/internal/histogram"
 	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
 )
+
+// replayByteCurve is the byte curve of one pass of s (built with a
+// byte tracker) over tr, recorded the way the krr model does.
+func replayByteCurve(s *Stack, tr *trace.Trace) *mrc.Curve {
+	hist := histogram.NewLog()
+	for _, req := range tr.Reqs {
+		if req.Op == trace.OpDelete {
+			s.Delete(req.Key)
+			continue
+		}
+		if res := s.Reference(req.Key, req.Size); res.Cold {
+			hist.AddCold()
+		} else {
+			hist.Add(res.ByteDistance)
+		}
+	}
+	return mrc.FromHistogram(hist, 1)
+}
 
 // bruteByteDistance computes the exact inclusive byte distance from
 // the stack's sizes slice.
@@ -126,24 +145,10 @@ func TestSizeArrayMatchesFenwickStatistically(t *testing.T) {
 	g := workload.NewTwitterLike(3, workload.TwitterParams{Keys: 3000, Alpha: 1.0})
 	tr, _ := trace.Collect(g, 60000)
 
-	approx := MustProfiler(Config{K: 8, Seed: 5, Bytes: BytesSizeArray})
-	exact := MustProfiler(Config{K: 8, Seed: 5, Bytes: BytesFenwick})
-	if err := approx.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	if err := exact.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	wss := exact.Stack().TotalBytes()
-	sizes := mrc.EvenSizes(wss, 25)
-	ac, err := approx.ByteMRC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec, err := exact.ByteMRC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	approx := NewStack(KPrimeFor(8), 5, WithSizeArray())
+	exact := NewStack(KPrimeFor(8), 5, WithFenwick())
+	ac, ec := replayByteCurve(approx, tr), replayByteCurve(exact, tr)
+	sizes := mrc.EvenSizes(exact.TotalBytes(), 25)
 	if mae := mrc.MAE(ac, ec, sizes); mae > 0.02 {
 		t.Fatalf("sizeArray vs fenwick byte MRC MAE %v", mae)
 	}
@@ -196,16 +201,10 @@ func TestVarKRRPredictsByteKLRU(t *testing.T) {
 	tr, _ := trace.Collect(g, 50000)
 
 	const k = 8
-	p := MustProfiler(Config{K: k, Seed: 9, Bytes: BytesSizeArray})
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	model, err := p.ByteMRC()
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStack(KPrimeFor(k), 9, WithSizeArray())
+	model := replayByteCurve(s, tr)
 
-	wss := p.Stack().TotalBytes()
+	wss := s.TotalBytes()
 	sizes := mrc.EvenSizes(wss, 8)
 	miss := make([]float64, len(sizes))
 	for i, capBytes := range sizes {
@@ -314,15 +313,16 @@ func TestByteDistanceEdgeCases(t *testing.T) {
 }
 
 func BenchmarkVarKRRSizeArray(b *testing.B) {
-	benchVar(b, BytesSizeArray)
+	benchVar(b, WithSizeArray())
 }
 
 func BenchmarkVarKRRFenwick(b *testing.B) {
-	benchVar(b, BytesFenwick)
+	benchVar(b, WithFenwick())
 }
 
-func benchVar(b *testing.B, mode ByteMode) {
-	p := MustProfiler(Config{K: 5, Seed: 1, Bytes: mode})
+// benchVar times stack references with one byte tracker.
+func benchVar(b *testing.B, tracker Option) {
+	s := NewStack(KPrimeFor(5), 1, tracker)
 	g := workload.NewTwitterLike(3, workload.TwitterParams{Keys: 1 << 15, Alpha: 1.0})
 	reqs := make([]trace.Request, 1<<16)
 	for i := range reqs {
@@ -330,6 +330,7 @@ func benchVar(b *testing.B, mode ByteMode) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Process(reqs[i&(1<<16-1)])
+		req := reqs[i&(1<<16-1)]
+		s.Reference(req.Key, req.Size)
 	}
 }

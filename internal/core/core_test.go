@@ -1,11 +1,11 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"krr/internal/histogram"
 	"krr/internal/mrc"
 	"krr/internal/olken"
 	"krr/internal/trace"
@@ -226,11 +226,7 @@ func TestKRRMatchesLinearReferenceMRC(t *testing.T) {
 
 	curves := map[UpdateMethod]*mrc.Curve{}
 	for _, m := range []UpdateMethod{Backward, TopDown, Linear} {
-		p := MustProfiler(Config{K: 4, Method: m, Seed: 11})
-		if err := p.ProcessAll(tr.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		curves[m] = p.ObjectMRC()
+		curves[m] = replayCurve(NewStack(KPrimeFor(4), 11, WithMethod(m)), tr)
 	}
 	if mae := mrc.MAE(curves[Backward], curves[Linear], sizes); mae > 0.015 {
 		t.Fatalf("backward vs linear MAE %v", mae)
@@ -251,11 +247,7 @@ func TestKRRPredictsKLRUSimulation(t *testing.T) {
 	sizes := mrc.EvenSizes(2500, 12)
 
 	for _, k := range []int{1, 4, 16} {
-		p := MustProfiler(Config{K: k, Seed: 21})
-		if err := p.ProcessAll(tr.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		model := p.ObjectMRC()
+		model := replayCurve(NewStack(KPrimeFor(k), 21), tr)
 
 		truth, err := simulateKLRU(tr, k, sizes)
 		if err != nil {
@@ -265,6 +257,35 @@ func TestKRRPredictsKLRUSimulation(t *testing.T) {
 			t.Fatalf("K=%d: KRR vs simulation MAE %v", k, mae)
 		}
 	}
+}
+
+// distanceStack is the surface Stack and BucketStack share.
+type distanceStack interface {
+	Reference(key uint64, size uint32) Result
+	Delete(key uint64) bool
+}
+
+// recordInto drives s over tr the way the krr models do — deletes
+// forget, references record their object distance — into hist.
+func recordInto(s distanceStack, tr *trace.Trace, hist *histogram.Dense) {
+	for _, req := range tr.Reqs {
+		if req.Op == trace.OpDelete {
+			s.Delete(req.Key)
+			continue
+		}
+		if res := s.Reference(req.Key, req.Size); res.Cold {
+			hist.AddCold()
+		} else {
+			hist.Add(res.Distance)
+		}
+	}
+}
+
+// replayCurve is the object curve of one pass of s over tr.
+func replayCurve(s distanceStack, tr *trace.Trace) *mrc.Curve {
+	hist := histogram.NewDense(1024)
+	recordInto(s, tr, hist)
+	return mrc.FromHistogram(hist, 1)
 }
 
 // simulateKLRU is a local ground-truth helper (avoids importing the
@@ -333,32 +354,6 @@ func (c *testKLRU) access(key uint64) bool {
 	return false
 }
 
-func TestSpatialSamplingAccuracy(t *testing.T) {
-	// KRR under spatial sampling must track unsampled KRR (§5.3).
-	// Mild skew: with a strongly Zipfian trace the handful of hottest
-	// keys carry so much mass that their random inclusion dominates
-	// the sampling variance (the paper's workloads have millions of
-	// objects, where this averages out).
-	g := workload.NewZipf(9, 60000, 0.6, nil, 0)
-	tr, _ := trace.Collect(g, 400000)
-
-	full := MustProfiler(Config{K: 8, Seed: 3})
-	if err := full.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	sampledP := MustProfiler(Config{K: 8, Seed: 3, SamplingRate: 0.2})
-	if err := sampledP.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	sizes := mrc.EvenSizes(60000, 20)
-	if mae := mrc.MAE(full.ObjectMRC(), sampledP.ObjectMRC(), sizes); mae > 0.03 {
-		t.Fatalf("sampled vs full MAE %v", mae)
-	}
-	if sampledP.Sampled() == 0 || sampledP.Sampled() >= sampledP.Seen() {
-		t.Fatalf("filter inactive: %d of %d", sampledP.Sampled(), sampledP.Seen())
-	}
-}
-
 func TestUniformByteDistance(t *testing.T) {
 	s := NewStack(2, 1)
 	s.Reference(1, 100)
@@ -370,67 +365,6 @@ func TestUniformByteDistance(t *testing.T) {
 	empty := NewStack(2, 1)
 	if empty.UniformByteDistance(5) != 0 {
 		t.Fatal("empty stack must estimate 0")
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := NewProfiler(Config{K: 0}); err == nil {
-		t.Fatal("K=0 must fail")
-	}
-	if _, err := NewProfiler(Config{K: 1, SamplingRate: -0.5}); err == nil {
-		t.Fatal("negative rate must fail")
-	}
-	if _, err := NewProfiler(Config{K: 1, SamplingRate: 2}); err == nil {
-		t.Fatal("rate > 1 must fail")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustProfiler must panic on bad config")
-		}
-	}()
-	MustProfiler(Config{K: 0})
-}
-
-func TestByteMRCErrsWhenOff(t *testing.T) {
-	p := MustProfiler(Config{K: 2, Seed: 1})
-	c, err := p.ByteMRC()
-	if !errors.Is(err, ErrBytesOff) {
-		t.Fatalf("ByteMRC error = %v, want ErrBytesOff", err)
-	}
-	if c != nil {
-		t.Fatal("ByteMRC must return a nil curve with ErrBytesOff")
-	}
-	sp, err := NewShardedProfiler(Config{K: 2, Seed: 1, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	if _, err := sp.ByteMRC(); !errors.Is(err, ErrBytesOff) {
-		t.Fatalf("sharded ByteMRC error = %v, want ErrBytesOff", err)
-	}
-}
-
-func TestProfilerDeleteOp(t *testing.T) {
-	p := MustProfiler(Config{K: 2, Seed: 1})
-	p.Process(trace.Request{Key: 1, Op: trace.OpGet, Size: 1})
-	p.Process(trace.Request{Key: 1, Op: trace.OpDelete})
-	p.Process(trace.Request{Key: 1, Op: trace.OpGet, Size: 1})
-	if p.ObjHist().Cold() != 2 {
-		t.Fatalf("cold = %d, want 2 (delete forgets)", p.ObjHist().Cold())
-	}
-}
-
-func TestBuildMRCConvenience(t *testing.T) {
-	g := workload.NewZipf(1, 1000, 1.0, nil, 0)
-	curve, err := BuildMRC(trace.LimitReader(g, 20000), Config{K: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if curve.Eval(1000) >= curve.Eval(10) {
-		t.Fatal("curve not decreasing")
-	}
-	if _, err := BuildMRC(g, Config{K: 0}); err == nil {
-		t.Fatal("bad config must propagate")
 	}
 }
 
@@ -446,34 +380,28 @@ func TestMemoryOverheadAccounting(t *testing.T) {
 	}
 }
 
+// TestResetHistogramsKeepsStack pins the contract online windowing
+// rests on: the modeled cache state lives in the stack alone, so a
+// fresh histogram for the next window records warm distances at once.
 func TestResetHistogramsKeepsStack(t *testing.T) {
-	p := MustProfiler(Config{K: 4, Seed: 1, Bytes: BytesSizeArray})
+	s := NewStack(KPrimeFor(4), 1, WithSizeArray())
 	g := workload.NewZipf(3, 500, 1.0, nil, 0)
 	tr, _ := trace.Collect(g, 10000)
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	warmLen := p.Stack().Len()
-	if p.ObjHist().Total() == 0 {
+	first := histogram.NewDense(1024)
+	recordInto(s, tr, first)
+	warmLen := s.Len()
+	if first.Total() == 0 {
 		t.Fatal("no distances recorded")
 	}
-	p.ResetHistograms()
-	if p.ObjHist().Total() != 0 || p.ByteHist().Total() != 0 {
-		t.Fatal("histograms not cleared")
+	next := histogram.NewDense(1024)
+	recordInto(s, tr, next)
+	if s.Len() != warmLen {
+		t.Fatal("a new window must keep the stack warm")
 	}
-	if p.Stack().Len() != warmLen {
-		t.Fatal("reset must keep the stack warm")
-	}
-	// The next window records non-cold distances immediately: the
-	// stack remembers the objects.
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	if p.ObjHist().Cold() != 0 {
-		t.Fatalf("warm stack produced %d cold misses", p.ObjHist().Cold())
+	if next.Cold() != 0 {
+		t.Fatalf("warm stack produced %d cold misses", next.Cold())
 	}
 }
-
 func TestStatsCounters(t *testing.T) {
 	s := NewStack(4, 1)
 	fillStack(s, 50)

@@ -1,13 +1,22 @@
-package core
+package core_test
 
 import (
+	"bytes"
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
+	"krr/internal/histogram"
+	"krr/internal/model"
 	"krr/internal/mrc"
+	"krr/internal/telemetry"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
+
+// The sharded KRR pipeline is model.Sharded over the krr model; these
+// tests hold it to the properties the core stacks must give it.
 
 // shardedTestTrace materializes a preset for the equivalence tests.
 func shardedTestTrace(t *testing.T, preset string, n int) *trace.Trace {
@@ -23,13 +32,58 @@ func shardedTestTrace(t *testing.T, preset string, n int) *trace.Trace {
 	return tr
 }
 
+// newKRR builds the krr model (sharded when opts.Workers > 1).
+func newKRR(t testing.TB, opts model.Options) model.Model {
+	t.Helper()
+	m, err := model.New("krr", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// replayed is newKRR fed the whole trace.
+func replayed(t testing.TB, tr *trace.Trace, opts model.Options) model.Model {
+	t.Helper()
+	m := newKRR(t, opts)
+	if err := model.ProcessAll(m, tr.Reader()); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// shardMetricSum sums the per-shard metric named suffix across a
+// sharded model's shards (the shard<i>_ series of its exposition).
+func shardMetricSum(t *testing.T, m model.Model, suffix string) float64 {
+	t.Helper()
+	set := telemetry.NewSet()
+	m.(model.MetricSource).MetricsInto(set, "")
+	var buf bytes.Buffer
+	if err := set.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "shard") || !strings.HasSuffix(name, "_"+suffix) {
+			continue
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("metric line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
 // TestShardedMatchesSerialMRC is the statistical-equivalence check the
-// whole design rests on: a W=4 sharded profiler and the serial
-// profiler must produce MRCs within the paper's accuracy tolerance on
-// realistic workloads. The two runs use different randomness and the
-// sharded one measures W subsampled stacks, so agreement is
-// statistical, not bitwise — MAE ≤ 0.01 matches the paper's own
-// KRR-vs-simulation acceptance bar (§5.3).
+// whole design rests on: a W=4 sharded model and the serial model
+// must produce MRCs within the paper's accuracy tolerance on realistic
+// workloads. The two runs use different randomness and the sharded one
+// measures W subsampled stacks, so agreement is statistical, not
+// bitwise — MAE ≤ 0.01 matches the paper's own KRR-vs-simulation
+// acceptance bar (§5.3).
 func TestShardedMatchesSerialMRC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test needs full-size traces")
@@ -41,26 +95,15 @@ func TestShardedMatchesSerialMRC(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{K: 8, Seed: 42}
-			serial := MustProfiler(cfg)
-			if err := serial.ProcessAll(tr.Reader()); err != nil {
-				t.Fatal(err)
-			}
-			cfg.Workers = 4
-			sp, err := NewShardedProfiler(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sp.ProcessAll(tr.Reader()); err != nil {
-				t.Fatal(err)
-			}
-			a, b := serial.ObjectMRC(), sp.ObjectMRC()
+			serial := replayed(t, tr, model.Options{K: 8, Seed: 42})
+			sharded := replayed(t, tr, model.Options{K: 8, Seed: 42, Workers: 4})
+			a, b := serial.ObjectMRC(), sharded.ObjectMRC()
 			at := mrc.EvenSizes(uint64(sum.DistinctObjects), 40)
 			if mae := mrc.MAE(a, b, at); mae > 0.01 {
 				t.Fatalf("sharded vs serial MAE = %.4f > 0.01", mae)
 			}
-			if sp.Seen() != uint64(tr.Len()) {
-				t.Fatalf("seen %d of %d requests", sp.Seen(), tr.Len())
+			if seen := sharded.Stats().Seen; seen != uint64(tr.Len()) {
+				t.Fatalf("seen %d of %d requests", seen, tr.Len())
 			}
 		})
 	}
@@ -78,22 +121,13 @@ func TestShardedWithSpatialSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := MustProfiler(Config{K: 4, Seed: 42})
-	if err := serial.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewShardedProfiler(Config{K: 4, Seed: 42, Workers: 4, SamplingRate: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
+	serial := replayed(t, tr, model.Options{K: 4, Seed: 42})
+	sharded := replayed(t, tr, model.Options{K: 4, Seed: 42, Workers: 4, SamplingRate: 0.1})
 	at := mrc.EvenSizes(uint64(sum.DistinctObjects), 40)
-	if mae := mrc.MAE(serial.ObjectMRC(), sp.ObjectMRC(), at); mae > 0.02 {
+	if mae := mrc.MAE(serial.ObjectMRC(), sharded.ObjectMRC(), at); mae > 0.02 {
 		t.Fatalf("sharded+spatial vs serial MAE = %.4f > 0.02", mae)
 	}
-	if sp.Sampled() >= sp.Seen() {
+	if st := sharded.Stats(); st.Sampled >= st.Seen {
 		t.Fatal("filter admitted everything at R = 0.1")
 	}
 }
@@ -105,19 +139,9 @@ func TestShardedBytesMRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewShardedProfiler(Config{K: 4, Seed: 1, Workers: 3, Bytes: BytesSizeArray})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	c, err := sp.ByteMRC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() < 2 {
-		t.Fatalf("degenerate byte curve: %d points", c.Len())
+	c := replayed(t, tr, model.Options{K: 4, Seed: 1, Workers: 3, Bytes: model.BytesSizeArray}).ByteMRC()
+	if c == nil || c.Len() < 2 {
+		t.Fatalf("degenerate byte curve: %v", c)
 	}
 	for i := 1; i < c.Len(); i++ {
 		if c.Miss[i] > c.Miss[i-1]+1e-9 {
@@ -127,28 +151,26 @@ func TestShardedBytesMRC(t *testing.T) {
 }
 
 // TestShardedRequestConservation checks exact plumbing (not
-// statistics): every admitted request lands in exactly one shard
-// histogram, and the merged totals add up.
+// statistics): every admitted request lands in exactly one shard's
+// model, and the merged histogram totals add up.
 func TestShardedRequestConservation(t *testing.T) {
 	tr := shardedTestTrace(t, "msr-src1", 50_000)
 	for _, w := range []int{1, 2, 4, 7} {
-		sp, err := NewShardedProfiler(Config{K: 2, Seed: 9, Workers: w})
+		sp, err := model.NewSharded("krr", w, model.Options{K: 2, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.ProcessAll(tr.Reader()); err != nil {
+		if err := model.ProcessAll(sp, tr.Reader()); err != nil {
 			t.Fatal(err)
 		}
 		sp.Close()
-		var total uint64
-		for i := 0; i < sp.Workers(); i++ {
-			total += sp.Shard(i).ObjHist().Total()
+		if total := shardMetricSum(t, sp, "requests_sampled_total"); total != float64(tr.Len()) {
+			t.Fatalf("W=%d: shards recorded %v of %d requests", w, total, tr.Len())
 		}
-		if total != uint64(tr.Len()) {
-			t.Fatalf("W=%d: shards recorded %d of %d requests", w, total, tr.Len())
-		}
-		if got := sp.mergedObjHist().Total(); got != total {
-			t.Fatalf("W=%d: merge lost requests: %d != %d", w, got, total)
+		merged := histogram.NewDense(1024)
+		sp.ReadObjectHist(merged)
+		if got := merged.Total(); got != uint64(tr.Len()) {
+			t.Fatalf("W=%d: merge lost requests: %d != %d", w, got, tr.Len())
 		}
 	}
 }
@@ -156,10 +178,7 @@ func TestShardedRequestConservation(t *testing.T) {
 // TestShardedDeleteOps routes deletes like any other request (same
 // key → same shard), so per-shard stacks stay consistent.
 func TestShardedDeleteOps(t *testing.T) {
-	sp, err := NewShardedProfiler(Config{K: 2, Seed: 3, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := newKRR(t, model.Options{K: 2, Seed: 3, Workers: 4})
 	for i := 0; i < 10_000; i++ {
 		k := uint64(i % 500)
 		sp.Process(trace.Request{Key: k, Size: 1, Op: trace.OpGet})
@@ -167,13 +186,10 @@ func TestShardedDeleteOps(t *testing.T) {
 			sp.Process(trace.Request{Key: k, Size: 1, Op: trace.OpDelete})
 		}
 	}
-	sp.Close()
-	resident := 0
-	for i := 0; i < sp.Workers(); i++ {
-		resident += sp.Shard(i).Stack().Len()
-	}
+	sp.ObjectMRC()
+	resident := shardMetricSum(t, sp, "stack_len")
 	if resident == 0 || resident > 500 {
-		t.Fatalf("resident objects across shards = %d", resident)
+		t.Fatalf("resident objects across shards = %v", resident)
 	}
 }
 
@@ -182,7 +198,7 @@ func TestShardedDeleteOps(t *testing.T) {
 // exercises every cross-goroutine hand-off in the router, workers,
 // pool, and merge.
 func TestShardedPipelineRace(t *testing.T) {
-	sp, err := NewShardedProfiler(Config{K: 4, Seed: 11, Workers: 8})
+	sp, err := model.NewSharded("krr", 8, model.Options{K: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,44 +217,41 @@ func TestShardedPipelineRace(t *testing.T) {
 	sp.Close() // idempotent
 }
 
-// TestShardedWorkersValidation covers config plumbing.
+// TestShardedWorkersValidation covers options plumbing.
 func TestShardedWorkersValidation(t *testing.T) {
-	if _, err := NewShardedProfiler(Config{K: 1, Workers: -1}); err == nil {
+	if _, err := model.New("krr", model.Options{K: 1, Workers: -1}); err == nil {
 		t.Fatal("negative Workers must fail validation")
 	}
-	if _, err := NewProfiler(Config{K: 1, Workers: -1}); err == nil {
-		t.Fatal("negative Workers must fail serial validation too")
+	if _, err := model.NewSharded("krr", 2, model.Options{K: 1, Workers: -1}); err == nil {
+		t.Fatal("negative Workers must fail sharded validation too")
 	}
 	// Workers 0 and 1 both yield a single-shard pipeline.
 	for _, w := range []int{0, 1} {
-		sp, err := NewShardedProfiler(Config{K: 1, Workers: w})
+		sp, err := model.NewSharded("krr", w, model.Options{K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sp.Workers() != 1 {
-			t.Fatalf("Workers()=%d for cfg %d", sp.Workers(), w)
+			t.Fatalf("Workers()=%d for %d", sp.Workers(), w)
 		}
 		sp.Close()
 	}
 }
 
-// TestBuildMRCShardedPath checks the facade dispatch: Workers > 1
-// must produce a sane curve through BuildMRC.
+// TestBuildMRCShardedPath checks the dispatch in model.New: Workers > 1
+// must produce a sane curve through the sharded pipeline.
 func TestBuildMRCShardedPath(t *testing.T) {
 	tr := shardedTestTrace(t, "msr-src2", 50_000)
 	for _, w := range []int{1, 4} {
-		c, err := BuildMRC(tr.Reader(), Config{K: 4, Seed: 5, Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := replayed(t, tr, model.Options{K: 4, Seed: 5, Workers: w}).ObjectMRC()
 		if c.Len() < 2 || c.Eval(0) != 1 {
 			t.Fatalf("W=%d: degenerate curve", w)
 		}
 	}
 }
 
-// BenchmarkShardedProcess measures router+pipeline throughput inside
-// the core package across worker counts (the facade-level
+// BenchmarkShardedProcess measures router+pipeline throughput of the
+// sharded krr model across worker counts (the facade-level
 // BenchmarkShardedKRR in the repo root pins the acceptance ratio).
 func BenchmarkShardedProcess(b *testing.B) {
 	p, _ := workload.ByName("msr-web")
@@ -249,7 +262,7 @@ func BenchmarkShardedProcess(b *testing.B) {
 	reqs := tr.Reqs
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			sp, err := NewShardedProfiler(Config{K: 8, Seed: 1, Workers: w})
+			sp, err := model.NewSharded("krr", w, model.Options{K: 8, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -15,7 +15,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"krr/internal/core"
+	"krr/internal/model"
 	"krr/internal/telemetry"
 	"krr/internal/trace"
 )
@@ -103,7 +103,7 @@ func (c *Config) fill() error {
 type Controller struct {
 	cfg       Config
 	cache     Tunable // may be nil (advisory mode)
-	profilers map[int]*core.Profiler
+	profilers map[int]model.Model
 	count     uint64
 	decisions []Decision
 
@@ -122,10 +122,9 @@ func New(cfg Config, cache Tunable) (*Controller, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	ctl := &Controller{cfg: cfg, cache: cache, profilers: make(map[int]*core.Profiler)}
+	ctl := &Controller{cfg: cfg, cache: cache, profilers: make(map[int]model.Model)}
 	for i, k := range cfg.Candidates {
-		rate := cfg.SamplingRate
-		p, err := core.NewProfiler(core.Config{K: k, Seed: cfg.Seed + uint64(i)*131, SamplingRate: rate})
+		p, err := model.New("krr", model.Options{K: k, Seed: cfg.Seed + uint64(i)*131, SamplingRate: cfg.SamplingRate})
 		if err != nil {
 			return nil, err
 		}
@@ -169,11 +168,13 @@ func (c *Controller) Predictions() map[int]float64 {
 // predictionsAt evaluates every candidate at one fixed budget. decide
 // threads a single budget load through both the comparison and the
 // Decision record so a concurrent SetBudgetObjects cannot make the log
-// claim a budget the candidates were never evaluated at.
+// claim a budget the candidates were never evaluated at. It reads
+// snapshots: ObjectMRC would finalize the shadow models and end the
+// stream at the first decision.
 func (c *Controller) predictionsAt(budget uint64) map[int]float64 {
 	out := make(map[int]float64, len(c.profilers))
 	for k, p := range c.profilers {
-		out[k] = p.ObjectMRC().Eval(budget)
+		out[k] = p.Snapshot().Object.Eval(budget)
 	}
 	return out
 }
@@ -208,7 +209,9 @@ func (c *Controller) Process(req trace.Request) bool {
 		hit = c.cache.Access(req)
 	}
 	for _, p := range c.profilers {
-		p.Process(req)
+		// Shadow models are never finalized (predictionsAt reads
+		// snapshots), so Process cannot fail.
+		_ = p.Process(req)
 	}
 	c.count++
 	if c.count%uint64(c.cfg.Window) == 0 {

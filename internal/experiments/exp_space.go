@@ -39,16 +39,9 @@ func runSpace(opt Options) (*Result, error) {
 		Columns: []string{"configuration", "tracked objects", "metadata bytes", "bytes/object", "% of 200B/object WSS"},
 	}
 	for _, rate := range []float64{1, 0.1, 0.01, 0.001} {
-		cfg := core.Config{K: 5, Seed: opt.Seed}
-		if rate < 1 {
-			cfg.SamplingRate = rate
-		}
-		prof := core.MustProfiler(cfg)
-		if err := prof.ProcessAll(tr.Reader()); err != nil {
-			return nil, err
-		}
-		tracked := prof.Stack().Len()
-		meta := prof.Stack().MemoryOverheadBytes()
+		st, _, _ := stackRun(tr, core.KPrimeFor(5), opt.Seed, rate)
+		tracked := st.Len()
+		meta := st.MemoryOverheadBytes()
 		wss := uint64(sum.DistinctObjects) * 200
 		perObj := "—"
 		if tracked > 0 {
@@ -88,14 +81,8 @@ func runAblationKPrime(opt Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			raw, _, err := krrCurve(tr, core.Config{K: k, KPrime: float64(k), Seed: opt.Seed})
-			if err != nil {
-				return nil, err
-			}
-			corrected, _, err := krrCurve(tr, core.Config{K: k, Seed: opt.Seed})
-			if err != nil {
-				return nil, err
-			}
+			_, raw, _ := stackRun(tr, float64(k), opt.Seed, 0)
+			_, corrected, _ := stackRun(tr, core.KPrimeFor(k), opt.Seed, 0)
 			table.Rows = append(table.Rows, []string{
 				name, fmt.Sprintf("%d", k),
 				f4(mrc.MAE(raw, truth, sizes)),

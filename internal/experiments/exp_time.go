@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
 
 	"krr/internal/core"
+	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/shards"
 	"krr/internal/simulator"
@@ -93,49 +95,36 @@ func runTable53(opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	// Basic (linear) stack: O(N·M) — run a prefix and extrapolate.
-	linearCap := 20000
-	if err := addRow("Basic Stack (linear update)", linearCap, func(r trace.Reader) error {
-		prof := core.MustProfiler(core.Config{K: k, Method: core.Linear, Seed: opt.Seed})
-		return prof.ProcessAll(r)
-	}); err != nil {
-		return nil, err
-	}
-
-	methods := []struct {
-		name string
-		cfg  core.Config
+	// Model rows, n requests each. The basic (linear) stack is O(N·M):
+	// it runs a prefix and extrapolates. The sharded rows (this repo's
+	// extension) fan the backward stack out across W hash-partitioned
+	// workers; their timed region covers routing, channel hand-off and
+	// the final drain.
+	rows := []struct {
+		name  string
+		model string
+		n     int
+		opts  model.Options
 	}{
-		{"Top Down Stack Update", core.Config{K: k, Method: core.TopDown, Seed: opt.Seed}},
-		{"Backward Stack Update", core.Config{K: k, Method: core.Backward, Seed: opt.Seed}},
-		{"Top Down + Spatial", core.Config{K: k, Method: core.TopDown, Seed: opt.Seed, SamplingRate: rate}},
-		{"Backward + Spatial", core.Config{K: k, Method: core.Backward, Seed: opt.Seed, SamplingRate: rate}},
+		{"Basic Stack (linear update)", "krr-linear", 20000, model.Options{K: k, Seed: opt.Seed}},
+		{"Top Down Stack Update", "krr-topdown", tr.Len(), model.Options{K: k, Seed: opt.Seed}},
+		{"Backward Stack Update", "krr", tr.Len(), model.Options{K: k, Seed: opt.Seed}},
+		{"Top Down + Spatial", "krr-topdown", tr.Len(), model.Options{K: k, Seed: opt.Seed, SamplingRate: rate}},
+		{"Backward + Spatial", "krr", tr.Len(), model.Options{K: k, Seed: opt.Seed, SamplingRate: rate}},
+		{"Backward, sharded W=2", "krr", tr.Len(), model.Options{K: k, Seed: opt.Seed, Workers: 2}},
+		{"Backward, sharded W=4", "krr", tr.Len(), model.Options{K: k, Seed: opt.Seed, Workers: 4}},
 	}
-	for _, m := range methods {
-		m := m
-		if err := addRow(m.name, tr.Len(), func(r trace.Reader) error {
-			prof := core.MustProfiler(m.cfg)
-			return prof.ProcessAll(r)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// Sharded pipeline rows (this repo's extension): the same backward
-	// stack fanned out across W hash-partitioned workers. The timed
-	// region covers routing, channel hand-off and the final drain.
-	for _, w := range []int{2, 4} {
-		w := w
-		if err := addRow(fmt.Sprintf("Backward, sharded W=%d", w), tr.Len(), func(r trace.Reader) error {
-			sp, err := core.NewShardedProfiler(core.Config{K: k, Method: core.Backward, Seed: opt.Seed, Workers: w})
+	for _, row := range rows {
+		if err := addRow(row.name, row.n, func(r trace.Reader) error {
+			m, err := model.New(row.model, row.opts)
 			if err != nil {
 				return err
 			}
-			if err := sp.ProcessAll(r); err != nil {
-				return err
+			err = model.ProcessAll(m, r)
+			if c, ok := m.(io.Closer); ok {
+				c.Close() // joins a sharded pipeline's workers
 			}
-			sp.Close()
-			return nil
+			return err
 		}); err != nil {
 			return nil, err
 		}
@@ -173,14 +162,8 @@ func runFig54(opt Options) (*Result, error) {
 			}
 			rate := rateFor(sum.DistinctObjects)
 			for ki, k := range opt.Ks {
-				prof := core.MustProfiler(core.Config{K: k, Seed: opt.Seed, SamplingRate: rate})
-				start := time.Now()
-				if err := prof.ProcessAll(tr.Reader()); err != nil {
-					return nil, err
-				}
-				elapsed := time.Since(start)
+				st, _, elapsed := stackRun(tr, core.KPrimeFor(k), opt.Seed, rate)
 				times[ki].Add(float64(elapsed) / float64(tr.Len()))
-				st := prof.Stack()
 				if st.Updates() > 0 {
 					swaps[ki].Add(float64(st.SwapSteps()) / float64(st.Updates()))
 				}
@@ -227,22 +210,11 @@ func runFig54(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		wall := func(k int) (time.Duration, error) {
-			prof := core.MustProfiler(core.Config{K: k, Seed: opt.Seed, SamplingRate: 0.001})
-			start := time.Now()
-			if err := prof.ProcessAll(tr.Reader()); err != nil {
-				return 0, err
-			}
-			return time.Since(start), nil
+		wall := func(k int) time.Duration {
+			_, _, elapsed := stackRun(tr, core.KPrimeFor(k), opt.Seed, 0.001)
+			return elapsed
 		}
-		t1, err := wall(1)
-		if err != nil {
-			return nil, err
-		}
-		t16, err := wall(16)
-		if err != nil {
-			return nil, err
-		}
+		t1, t16 := wall(1), wall(16)
 		notes = append(notes, fmt.Sprintf(
 			"at the paper's R=0.001 (filtered requests dominate): K=16 pipeline wall ×%.2f over K=1 — the ≤4× regime of Fig 5.4",
 			float64(t16)/float64(t1)))
@@ -299,15 +271,20 @@ func runTable54(opt Options) (*Result, error) {
 		Columns: []string{"method", "mean wall time"},
 	}
 	var tdTotal, bwTotal time.Duration
+	streamKRR := func(name string, k int) (time.Duration, error) {
+		m, err := model.New(name, model.Options{K: k, Seed: opt.Seed, SamplingRate: rate})
+		if err != nil {
+			return 0, err
+		}
+		return stream(func(req trace.Request) { _ = m.Process(req) }) // never finalized: cannot fail
+	}
 	for _, k := range opt.Ks {
-		tdProf := core.MustProfiler(core.Config{K: k, Method: core.TopDown, Seed: opt.Seed, SamplingRate: rate})
-		td, err := stream(tdProf.Process)
+		td, err := streamKRR("krr-topdown", k)
 		if err != nil {
 			return nil, err
 		}
 		tdTotal += td
-		bwProf := core.MustProfiler(core.Config{K: k, Method: core.Backward, Seed: opt.Seed, SamplingRate: rate})
-		bw, err := stream(bwProf.Process)
+		bw, err := streamKRR("krr", k)
 		if err != nil {
 			return nil, err
 		}

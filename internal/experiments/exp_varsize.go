@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"krr/internal/core"
+	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/stats"
 )
@@ -62,14 +62,14 @@ func runTable52(opt Options) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				model, _, err := krrByteCurve(tr, core.Config{K: k, Seed: opt.Seed, Bytes: core.BytesSizeArray})
+				pModel, _, err := krrByteCurve(tr, model.Options{K: k, Seed: opt.Seed, Bytes: model.BytesSizeArray})
 				if err != nil {
 					return nil, err
 				}
-				plain[fam][ki].Add(mrc.MAE(model, truth, sizes))
+				plain[fam][ki].Add(mrc.MAE(pModel, truth, sizes))
 
-				sModel, _, err := krrByteCurve(tr, core.Config{
-					K: k, Seed: opt.Seed, Bytes: core.BytesSizeArray, SamplingRate: rate})
+				sModel, _, err := krrByteCurve(tr, model.Options{
+					K: k, Seed: opt.Seed, Bytes: model.BytesSizeArray, SamplingRate: rate})
 				if err != nil {
 					return nil, err
 				}
@@ -117,11 +117,11 @@ func runFig53(opt Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		uni, uniTime, err := krrByteCurve(tr, core.Config{K: cse.k, Seed: opt.Seed, Bytes: core.BytesUniform})
+		uni, uniTime, err := krrByteCurve(tr, model.Options{K: cse.k, Seed: opt.Seed, Bytes: model.BytesUniform})
 		if err != nil {
 			return nil, err
 		}
-		vark, varTime, err := krrByteCurve(tr, core.Config{K: cse.k, Seed: opt.Seed, Bytes: core.BytesSizeArray})
+		vark, varTime, err := krrByteCurve(tr, model.Options{K: cse.k, Seed: opt.Seed, Bytes: model.BytesSizeArray})
 		if err != nil {
 			return nil, err
 		}
@@ -153,11 +153,11 @@ func runAblationSizeArray(opt Options) (*Result, error) {
 	}
 	sizes := byteEvalSizes(sum.WSSBytes, opt.SimSizes)
 	const k = 8
-	approx, approxTime, err := krrByteCurve(tr, core.Config{K: k, Seed: opt.Seed, Bytes: core.BytesSizeArray})
+	approx, approxTime, err := krrByteCurve(tr, model.Options{K: k, Seed: opt.Seed, Bytes: model.BytesSizeArray})
 	if err != nil {
 		return nil, err
 	}
-	exact, exactTime, err := krrByteCurve(tr, core.Config{K: k, Seed: opt.Seed, Bytes: core.BytesFenwick})
+	exact, exactTime, err := krrByteCurve(tr, model.Options{K: k, Seed: opt.Seed, Bytes: model.BytesFenwick})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"krr/internal/core"
+	"krr/internal/histogram"
 	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/sampling"
@@ -57,8 +58,8 @@ func rateFor(distinct int) float64 { return sampling.RateFor(distinct) }
 
 // modelCurve replays the trace through a registered model and returns
 // its object curve and wall time. This is the standard path for
-// experiments; krrCurve below remains only for ablations that reach
-// into core.Config knobs the model layer does not expose (KPrime).
+// experiments; stackRun below serves the ones that set K′ directly or
+// read the stack itself.
 func modelCurve(tr *trace.Trace, name string, opts model.Options) (*mrc.Curve, time.Duration, error) {
 	m, err := model.New(name, opts)
 	if err != nil {
@@ -72,37 +73,53 @@ func modelCurve(tr *trace.Trace, name string, opts model.Options) (*mrc.Curve, t
 	return curve, time.Since(start), nil
 }
 
-// krrCurve runs a KRR profiler over the trace and returns its object
-// curve and wall time.
-func krrCurve(tr *trace.Trace, cfg core.Config) (*mrc.Curve, time.Duration, error) {
-	p, err := core.NewProfiler(cfg)
+// krrByteCurve replays the trace through the krr model (opts selects
+// the byte mode) and returns its byte curve and the replay's wall time.
+func krrByteCurve(tr *trace.Trace, opts model.Options) (*mrc.Curve, time.Duration, error) {
+	m, err := model.New("krr", opts)
 	if err != nil {
 		return nil, 0, err
 	}
 	start := time.Now()
-	if err := p.ProcessAll(tr.Reader()); err != nil {
+	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		return nil, 0, err
 	}
 	elapsed := time.Since(start)
-	return p.ObjectMRC(), elapsed, nil
+	return m.ByteMRC(), elapsed, nil
 }
 
-// krrByteCurve runs a byte-granularity KRR profiler.
-func krrByteCurve(tr *trace.Trace, cfg core.Config) (*mrc.Curve, time.Duration, error) {
-	p, err := core.NewProfiler(cfg)
-	if err != nil {
-		return nil, 0, err
+// stackRun replays tr through a bare backward KRR stack of exponent
+// kPrime behind a spatial filter at rate (0 or 1: none), the way the
+// krr model drives it, for the experiments that set K′ directly (the
+// K′ ablation) or read the stack itself (space accounting, swap
+// counts). It returns the stack, the object curve and the replay's
+// wall time.
+func stackRun(tr *trace.Trace, kPrime float64, seed uint64, rate float64) (*core.Stack, *mrc.Curve, time.Duration) {
+	st := core.NewStack(kPrime, seed)
+	hist := histogram.NewDense(1024)
+	var filter *sampling.Filter
+	scale := 1.0
+	if rate > 0 && rate < 1 {
+		filter = sampling.NewRate(rate)
+		scale = 1 / filter.Rate()
 	}
 	start := time.Now()
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		return nil, 0, err
+	for _, req := range tr.Reqs {
+		if filter != nil && !filter.Sampled(req.Key) {
+			continue
+		}
+		if req.Op == trace.OpDelete {
+			st.Delete(req.Key)
+			continue
+		}
+		if res := st.Reference(req.Key, req.Size); res.Cold {
+			hist.AddCold()
+		} else {
+			hist.Add(res.Distance)
+		}
 	}
 	elapsed := time.Since(start)
-	bc, err := p.ByteMRC()
-	if err != nil {
-		return nil, 0, err
-	}
-	return bc, elapsed, nil
+	return st, mrc.FromHistogram(hist, scale), elapsed
 }
 
 // simKLRU returns the ground-truth K-LRU curve via per-size

@@ -82,6 +82,44 @@ func (m *streamModel) Process(req trace.Request) error {
 	return nil
 }
 
+// ProcessBatch implements BatchProcessor: Process's admission for each
+// request, with one guard and one add per stream counter for the whole
+// batch. The admission mode is chosen once per batch, not re-read per
+// request: with a kernel as cheap as aet's the per-request re-check
+// was measurable. Models with an admit mirror still process every
+// request; only the Sampled count consults it.
+func (m *streamModel) ProcessBatch(reqs []trace.Request) error {
+	if err := m.guard(); err != nil {
+		return err
+	}
+	m.seen.Add(uint64(len(reqs)))
+	admitted := uint64(len(reqs))
+	switch {
+	case m.filter != nil:
+		admitted = 0
+		for _, req := range reqs {
+			if m.filter.Sampled(req.Key) {
+				admitted++
+				m.process(req)
+			}
+		}
+	case m.admit != nil:
+		admitted = 0
+		for _, req := range reqs {
+			if m.admit(req.Key) {
+				admitted++
+			}
+			m.process(req)
+		}
+	default:
+		for _, req := range reqs {
+			m.process(req)
+		}
+	}
+	m.sampled.Add(admitted)
+	return nil
+}
+
 // finalizeOnce flushes buffered state on the first curve read.
 func (m *streamModel) finalizeOnce() {
 	if !m.finalized && m.flush != nil {
@@ -182,50 +220,65 @@ func extFilter(o Options) (*sampling.Filter, float64) {
 
 // --- KRR (core) -------------------------------------------------------
 
-// coreByteMode maps the unified byte mode onto KRR's tracker choices;
-// BytesOn means the paper's var-KRR sizeArray.
-func coreByteMode(m ByteMode) core.ByteMode {
-	switch m {
-	case BytesUniform:
-		return core.BytesUniform
-	case BytesFenwick:
-		return core.BytesFenwick
-	case BytesOn, BytesSizeArray:
-		return core.BytesSizeArray
-	default:
-		return core.BytesOff
-	}
-}
-
+// newKRR builds the KRR stack model for one update method: the stack,
+// its object histogram and, with a byte mode, a byte histogram. BytesOn
+// means the paper's var-KRR sizeArray; BytesUniform estimates each byte
+// distance as φ × mean object size.
 func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 	return func(o Options) (Model, error) {
 		filter, scale := extFilter(o)
-		p, err := core.NewProfiler(core.Config{
-			K:      o.k(),
-			Seed:   o.Seed,
-			Method: method,
-			Bytes:  coreByteMode(o.Bytes),
-		})
-		if err != nil {
-			return nil, err
+		opts := []core.Option{core.WithMethod(method)}
+		switch o.Bytes {
+		case BytesOn, BytesSizeArray:
+			opts = append(opts, core.WithSizeArray())
+		case BytesFenwick:
+			opts = append(opts, core.WithFenwick())
 		}
+		st := core.NewStack(core.KPrimeFor(o.k()), o.Seed, opts...)
+		obj := histogram.NewDense(1024)
+		var byt *histogram.Log
+		if o.Bytes != BytesOff {
+			byt = histogram.NewLog()
+		}
+		uniform := o.Bytes == BytesUniform
 		m := &streamModel{
-			filter:   filter,
-			process:  p.Process,
-			objDense: p.ObjHist(),
+			filter: filter,
+			process: func(req trace.Request) {
+				if req.Op == trace.OpDelete {
+					st.Delete(req.Key)
+					return
+				}
+				res := st.Reference(req.Key, req.Size)
+				if res.Cold {
+					obj.AddCold()
+					if byt != nil {
+						byt.AddCold()
+					}
+					return
+				}
+				obj.Add(res.Distance)
+				switch {
+				case byt == nil:
+				case uniform:
+					byt.Add(st.UniformByteDistance(res.Distance))
+				default:
+					byt.Add(res.ByteDistance)
+				}
+			},
+			objDense: obj,
 			objScale: scale,
-			metrics:  p.Stack().MetricsInto,
+			byteLog:  byt,
+			metrics:  st.MetricsInto,
 		}
 		m.footprint = func() uint64 {
-			fp := p.Stack().MemoryOverheadBytes() + p.ObjHist().MemBytes()
-			if m.byteLog != nil {
-				fp += m.byteLog.MemBytes()
+			fp := st.MemoryOverheadBytes() + obj.MemBytes()
+			if byt != nil {
+				fp += byt.MemBytes()
 			}
 			return fp
 		}
-		if o.Bytes != BytesOff {
-			m.byteCurve = func() *mrc.Curve { return mrc.FromHistogram(p.ByteHist(), scale) }
-			m.byteLog = p.ByteHist()
+		if byt != nil {
+			m.byteCurve = func() *mrc.Curve { return mrc.FromHistogram(byt, scale) }
 		}
 		return m, nil
 	}
@@ -239,21 +292,29 @@ func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 // per-position shifts the bucketized update does not perform.
 func newKRRBucket(o Options) (Model, error) {
 	filter, scale := extFilter(o)
-	p, err := core.NewBucketProfiler(core.BucketConfig{
-		K:     o.k(),
-		Seed:  o.Seed,
-		Ratio: o.BucketRatio,
-	})
-	if err != nil {
-		return nil, err
+	ratio := o.BucketRatio
+	if ratio == 0 {
+		ratio = core.DefaultBucketRatio
 	}
+	st := core.NewBucketStack(core.KPrimeFor(o.k()), ratio, o.Seed)
+	obj := histogram.NewDense(1024)
 	return &streamModel{
-		filter:    filter,
-		process:   p.Process,
-		objDense:  p.ObjHist(),
+		filter: filter,
+		process: func(req trace.Request) {
+			if req.Op == trace.OpDelete {
+				st.Delete(req.Key)
+				return
+			}
+			if res := st.Reference(req.Key, req.Size); res.Cold {
+				obj.AddCold()
+			} else {
+				obj.Add(res.Distance)
+			}
+		},
+		objDense:  obj,
 		objScale:  scale,
-		metrics:   p.Stack().MetricsInto,
-		footprint: func() uint64 { return p.Stack().MemoryOverheadBytes() + p.ObjHist().MemBytes() },
+		metrics:   st.MetricsInto,
+		footprint: func() uint64 { return st.MemoryOverheadBytes() + obj.MemBytes() },
 	}, nil
 }
 

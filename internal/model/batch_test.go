@@ -57,8 +57,59 @@ func TestShardedProcessBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestStreamProcessBatchEquivalence pins every registry entry's batch
+// path to per-request Process: ragged batches must leave bit-identical
+// curves and stream counters, with spatial sampling off and on (which
+// covers the filter, the admit mirror of aet/shards, and neither).
+func TestStreamProcessBatchEquivalence(t *testing.T) {
+	tr := synthTrace(t, 20000, 2000, 5)
+	sizes := []int{1, 0, 7, 64, 63, 997, 2}
+	for _, info := range All() {
+		for _, rate := range []float64{0, 0.3} {
+			opts := Options{Seed: 1, SamplingRate: rate}
+			serial, err := New(info.Name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range tr.Reqs {
+				if err := serial.Process(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batched, err := New(info.Name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp, ok := batched.(BatchProcessor)
+			if !ok {
+				t.Fatalf("%s does not implement BatchProcessor", info.Name)
+			}
+			reqs := tr.Reqs
+			for i := 0; len(reqs) > 0; i++ {
+				n := min(sizes[i%len(sizes)], len(reqs))
+				if err := bp.ProcessBatch(reqs[:n]); err != nil {
+					t.Fatal(err)
+				}
+				reqs = reqs[n:]
+			}
+			if ss, bs := serial.Stats(), batched.Stats(); ss != bs {
+				t.Fatalf("%s rate %v: stats diverge: Process %+v ProcessBatch %+v", info.Name, rate, ss, bs)
+			}
+			if !sameCurve(serial.ObjectMRC(), batched.ObjectMRC()) {
+				t.Fatalf("%s rate %v: curves diverge between Process and ProcessBatch", info.Name, rate)
+			}
+			if err := bp.ProcessBatch(tr.Reqs[:1]); err != ErrFinalized {
+				t.Fatalf("%s: ProcessBatch after finalize = %v, want ErrFinalized", info.Name, err)
+			}
+		}
+	}
+}
+
+// processOnly hides a model's BatchProcessor, leaving only Model.
+type processOnly struct{ Model }
+
 // TestProcessBatchFallback pins the helper's per-request fallback for
-// serial models (which do not implement BatchProcessor).
+// models that do not implement BatchProcessor.
 func TestProcessBatchFallback(t *testing.T) {
 	tr := synthTrace(t, 5000, 500, 3)
 	reqs := tr.Reqs
@@ -73,12 +124,13 @@ func TestProcessBatchFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	viaHelper, err := New("krr", opts)
+	inner, err := New("krr", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var viaHelper Model = processOnly{inner}
 	if _, ok := viaHelper.(BatchProcessor); ok {
-		t.Fatal("serial krr unexpectedly implements BatchProcessor; fallback untested")
+		t.Fatal("wrapped model implements BatchProcessor; fallback untested")
 	}
 	for off := 0; off < len(reqs); off += 321 {
 		end := off + 321

@@ -323,8 +323,8 @@ func FootprintOf(m Model) int64 {
 // BatchProcessor is implemented by models with a batched ingest fast
 // path: one ProcessBatch call is equivalent to calling Process on each
 // request in order, but amortizes per-call overhead (locking, shard
-// routing) over the whole batch. The wire ingest plane feeds frames
-// through this interface.
+// routing, stream counters) over the whole batch. The wire ingest plane
+// and ProcessAll feed requests through this interface.
 type BatchProcessor interface {
 	ProcessBatch(reqs []trace.Request) error
 }
@@ -344,14 +344,15 @@ func ProcessBatch(m Model, reqs []trace.Request) error {
 	return nil
 }
 
-// ProcessAll drains a reader into m, using the trace.BatchReader fast
-// path when available. It stops at the first Process error.
+// ProcessAll drains a reader into m in 64-request batches, using the
+// trace.BatchReader fast path when available and feeding each batch
+// through ProcessBatch. It stops at the first Process error.
 func ProcessAll(m Model, r trace.Reader) error {
 	var buf [64]trace.Request
 	for {
 		n, err := trace.ReadBatch(r, buf[:])
-		for _, req := range buf[:n] {
-			if perr := m.Process(req); perr != nil {
+		if n > 0 {
+			if perr := ProcessBatch(m, buf[:n]); perr != nil {
 				return perr
 			}
 		}

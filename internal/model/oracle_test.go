@@ -1,0 +1,140 @@
+package model
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+
+	"krr/internal/mrc"
+	"krr/internal/trace"
+	"krr/internal/workload"
+)
+
+// oracleTrace is the fixed stream the recorded digests were taken on:
+// variable-size msr-web with every 29th request turned into a delete
+// and every 37th resized, so the delete path and the byte trackers'
+// Resize path both run.
+func oracleTrace(t testing.TB) *trace.Trace {
+	t.Helper()
+	p, ok := workload.ByName("msr-web")
+	if !ok {
+		t.Fatal("missing msr-web preset")
+	}
+	tr, err := trace.Collect(p.New(0.03, 7, true), 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tr.Reqs {
+		switch {
+		case i%29 == 28:
+			tr.Reqs[i].Op = trace.OpDelete
+		case i%37 == 36:
+			tr.Reqs[i].Size = tr.Reqs[i].Size/2 + 1
+		}
+	}
+	return tr
+}
+
+// curveDigest is the SHA-256 over a curve's sizes and the bits of its
+// miss ratios, little-endian; "" for a nil curve.
+func curveDigest(c *mrc.Curve) string {
+	if c == nil {
+		return ""
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, s := range c.Sizes {
+		binary.LittleEndian.PutUint64(b[:], s)
+		h.Write(b[:])
+	}
+	for _, m := range c.Miss {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(m))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// krrDigests were recorded with the former core.Profiler,
+// core.BucketProfiler and core.ShardedProfiler wrappers (Workers 2 is
+// the sharded one) on oracleTrace. The krr adapters now drive the
+// stacks themselves; their curves and counters must not move by a bit.
+var krrDigests = []struct {
+	name          string
+	opts          Options
+	seen, sampled uint64
+	object, bytes string
+}{
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "f1e1355c99882456257fe838be22afa0781ae647cd4d52eb2fec2cb0277c3ea4", ""},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 2}, 12000, 12000, "00f6bb3a54349486bcfb1d283fd9d0d85ef3295a316a37bea1e96d96df110abf", ""},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "8abbf062f91b8455291959dab891782fa065cfcf3b0a11138db6fb662d08c145", ""},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "64d7d3c00591422d1c2d9cefd1fa7ce0eb986a9a7bc3b8cfcb16fe1683d8b65e", ""},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0, Workers: 0}, 12000, 12000, "f1e1355c99882456257fe838be22afa0781ae647cd4d52eb2fec2cb0277c3ea4", "00a97297f2fc8f752156f3827cb443460a8a0f028642d39edf4cdd835089c614"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0, Workers: 2}, 12000, 12000, "00f6bb3a54349486bcfb1d283fd9d0d85ef3295a316a37bea1e96d96df110abf", "8b32fee59044078a7b9ebfbdf752021c3e93a08e8675849166fee2281a1a0782"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "8abbf062f91b8455291959dab891782fa065cfcf3b0a11138db6fb662d08c145", "5702c61b5f448d8544204ebdf1ef7c52e1298345613b109535946387a9db4571"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "64d7d3c00591422d1c2d9cefd1fa7ce0eb986a9a7bc3b8cfcb16fe1683d8b65e", "d751a6d0bf8a2b36b611c4db9bc9ea9144ae28006f96cfb3a4bba0c97ebebedf"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0, Workers: 0}, 12000, 12000, "f1e1355c99882456257fe838be22afa0781ae647cd4d52eb2fec2cb0277c3ea4", "bd67dd24fd97231f797cd878c9aa5ab0ca98dbf8c39a9baf5eef85c8498a0550"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0, Workers: 2}, 12000, 12000, "00f6bb3a54349486bcfb1d283fd9d0d85ef3295a316a37bea1e96d96df110abf", "d0df0afec00bf2f18864727e1cd24427d3bd4e4c25c3562b927c9d285a577d5b"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "8abbf062f91b8455291959dab891782fa065cfcf3b0a11138db6fb662d08c145", "817c042cc94752a7faf442e6bd31ae03d4278ce87630afff2384125fe8d7831f"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "64d7d3c00591422d1c2d9cefd1fa7ce0eb986a9a7bc3b8cfcb16fe1683d8b65e", "b87ecdb3427c87710a9044ec78a2e1ca3dd1f76ed1ede2139a69d87faa10881d"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0, Workers: 0}, 12000, 12000, "f1e1355c99882456257fe838be22afa0781ae647cd4d52eb2fec2cb0277c3ea4", "673dcace64683ed1e5bdadd1199582604ccaf562a861492be8344c7003e0584c"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0, Workers: 2}, 12000, 12000, "00f6bb3a54349486bcfb1d283fd9d0d85ef3295a316a37bea1e96d96df110abf", "57df92899c6089a5e4b628802452b5cfbff203ad4a32f8e9bc0fa57e4cadeda9"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "8abbf062f91b8455291959dab891782fa065cfcf3b0a11138db6fb662d08c145", "8be890f18fea2c0e5a68d8b3b6446ef526214083a0deec0e388f472a69094c72"},
+	{"krr", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "64d7d3c00591422d1c2d9cefd1fa7ce0eb986a9a7bc3b8cfcb16fe1683d8b65e", "1a00459df2824fa02a21c48cc1926aef6b7808212e40270c610eb9eadf135e82"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "748c3bcb2be36a7015df501528f75d8cb9563d8831d0c5379b2b5ff875774988", ""},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 2}, 12000, 12000, "a93b8e3907964534663fbb0c0bb468463eef97664960ca0950ade777331f5d05", ""},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "212e4038917e7666afe0dee016b237f45b67dc7f8cce703bbf2cc181313d07a5", ""},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "c6e50837899f099d0f704a25f909c88d55e60a1a4ee32f5544544699f172af98", ""},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0, Workers: 0}, 12000, 12000, "748c3bcb2be36a7015df501528f75d8cb9563d8831d0c5379b2b5ff875774988", "4365d3a92deec86f4e878bbed5f9319d61ec9e021293b4f0d879fd5aeb693d1f"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0, Workers: 2}, 12000, 12000, "a93b8e3907964534663fbb0c0bb468463eef97664960ca0950ade777331f5d05", "389d78caa456779015b406ac8ab6d0407de783e48d943476599a74d50cf91ef9"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "212e4038917e7666afe0dee016b237f45b67dc7f8cce703bbf2cc181313d07a5", "af0eeb61bb9d3e056025db7e5c7584c6a6a5cc49575bbd89cff9f056999ee6aa"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "c6e50837899f099d0f704a25f909c88d55e60a1a4ee32f5544544699f172af98", "3a281f2a216ae6895ae84610f238b82d91deed207597fc708f34278b39c514d9"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0, Workers: 0}, 12000, 12000, "748c3bcb2be36a7015df501528f75d8cb9563d8831d0c5379b2b5ff875774988", "d9e4bcda291c8b3fb33193eecc263fb2eca274fb62142e340bc30351e1964878"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0, Workers: 2}, 12000, 12000, "a93b8e3907964534663fbb0c0bb468463eef97664960ca0950ade777331f5d05", "dff0a6bbb0660d153a626dc08d579676c3e955b054f2fc40f4960562882b3ebf"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "212e4038917e7666afe0dee016b237f45b67dc7f8cce703bbf2cc181313d07a5", "5c3c5ea8b49f93ffac50db462f0ce932e1d541b6562df93fe0084dbfd8b6458a"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "c6e50837899f099d0f704a25f909c88d55e60a1a4ee32f5544544699f172af98", "8dd2165e942500981d734e046ca764cb063dc93558f590ca19c6e4c4169b3f42"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0, Workers: 0}, 12000, 12000, "748c3bcb2be36a7015df501528f75d8cb9563d8831d0c5379b2b5ff875774988", "2d51024efb724bcd41d2c2fd852d0d04deecbc51c0aba4d618b7b2a477bf8345"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0, Workers: 2}, 12000, 12000, "a93b8e3907964534663fbb0c0bb468463eef97664960ca0950ade777331f5d05", "156d81e896536e2ca01a253714976fc80e6b0f7d139977b0aeed8228462a99ae"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "212e4038917e7666afe0dee016b237f45b67dc7f8cce703bbf2cc181313d07a5", "b5bfe8b4c9014144d57a57dd8a88b7d0d6b029044f4186e1721afe7257d404e0"},
+	{"krr-topdown", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "c6e50837899f099d0f704a25f909c88d55e60a1a4ee32f5544544699f172af98", "f4117c84154c6dde061576a45f7a30736c5af5b9b3534722925703e9ff9c156b"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "ca424fa8364a3455dde42d3e99a382e884a025c0403852368fd21b4feafc894c", ""},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 2}, 12000, 12000, "1841f340d71b97100efcb63daa848c5b5b656507479073ba149cea85687e90b8", ""},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "ba11c230f58b0e45c3bbc85124797aa556ac07f58f3715c5a52633ee48b72a0c", ""},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "4b1926a5e2fc064cd6c6b45932b7aafc4d23bbe80ae69c572c67b8a1ba544262", ""},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0, Workers: 0}, 12000, 12000, "ca424fa8364a3455dde42d3e99a382e884a025c0403852368fd21b4feafc894c", "e6128896df74a1d80eb32f73a75a7e2685c4d6bea622411337bc2ceb044ae30a"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0, Workers: 2}, 12000, 12000, "1841f340d71b97100efcb63daa848c5b5b656507479073ba149cea85687e90b8", "442031aec00279b5af52c7c23160cc40bcbdc6ad6a7b5ac4d446808a6a9db123"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "ba11c230f58b0e45c3bbc85124797aa556ac07f58f3715c5a52633ee48b72a0c", "086001a83ac1c9d1bf9bc4b87568efdfa98b42a070c45cb7e53b934859dcdf57"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesUniform, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "4b1926a5e2fc064cd6c6b45932b7aafc4d23bbe80ae69c572c67b8a1ba544262", "6597e58f254cd6f3e7754fb525ba209614055364d3463eafbb131c45737b36fc"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0, Workers: 0}, 12000, 12000, "ca424fa8364a3455dde42d3e99a382e884a025c0403852368fd21b4feafc894c", "2c0b6cb41a8eaa1f4249803880bb9d6e853453cbb96780e022c166df2e010070"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0, Workers: 2}, 12000, 12000, "1841f340d71b97100efcb63daa848c5b5b656507479073ba149cea85687e90b8", "ee1723c0ec8085739c7a32dcd3edfc94113322369eb3b9ebb51896929bf2d22c"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "ba11c230f58b0e45c3bbc85124797aa556ac07f58f3715c5a52633ee48b72a0c", "3da1f53a16e1ae07fd10f9bb6ea26d94d962c46fef69bf40a258ced6ad13453c"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesSizeArray, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "4b1926a5e2fc064cd6c6b45932b7aafc4d23bbe80ae69c572c67b8a1ba544262", "4d951622d5ad170870590f00acf8900d66746892121cdacc1262d2602d5e7ccc"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0, Workers: 0}, 12000, 12000, "ca424fa8364a3455dde42d3e99a382e884a025c0403852368fd21b4feafc894c", "020461255036ba48cf377b2b86e0f1774e7fd8423fdfe8961c6ab98ad262b937"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0, Workers: 2}, 12000, 12000, "1841f340d71b97100efcb63daa848c5b5b656507479073ba149cea85687e90b8", "9597b333f72be9f5c4e3da31dce220e4c2e237676e433769615c52e9e3b661d2"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "ba11c230f58b0e45c3bbc85124797aa556ac07f58f3715c5a52633ee48b72a0c", "c73da6b2f91fc3008f4605a4f2eb3625fdb1663a0bad9298029d81d4cd53111c"},
+	{"krr-linear", Options{K: 5, Seed: 3, Bytes: BytesFenwick, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "4b1926a5e2fc064cd6c6b45932b7aafc4d23bbe80ae69c572c67b8a1ba544262", "92cc7c55b419ce7e495f10bcc6fe281f5513c766765130f2f9f99d19523b2884"},
+	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 0, SamplingRate: 0}, 12000, 12000, "1b6b937c775176d12f1c214620443b93e311159dd3099f9f439d24d4432f478f", ""},
+	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 0, SamplingRate: 0.1}, 12000, 1124, "4a28dc1565d09aae5128e9ef1aca33faaf3c8fe447048acb3acd1b6b36b20214", ""},
+	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 1, SamplingRate: 0}, 12000, 12000, "a1e9adcd9d87eb36ec8c02a667d0b76c721357d23e8d974aca9daac992c52645", ""},
+	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 1, SamplingRate: 0.1}, 12000, 1124, "58637b7ba5c4bbb3157706cad17be6a71167566cd19aa2a171ce16288f10cb2c", ""},
+	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 4, SamplingRate: 0}, 12000, 12000, "0e92f4d53305db9b1c6fab48c96dc1bb51f56dc502707bfd23599794d1f2aa08", ""},
+	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 4, SamplingRate: 0.1}, 12000, 1124, "d7d841d8896b5939d882128a1d28671c95ab34d6ef767cacdc74b8b0a2b5a343", ""},
+}
+
+func TestKRRCurvesMatchRecordedDigests(t *testing.T) {
+	tr := oracleTrace(t)
+	for _, c := range krrDigests {
+		m, err := New(c.name, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, m, tr)
+		obj, byt := curveDigest(m.ObjectMRC()), curveDigest(m.ByteMRC())
+		st := m.Stats()
+		if obj != c.object || byt != c.bytes || st.Seen != c.seen || st.Sampled != c.sampled {
+			t.Errorf("%s %+v:\n got obj %s bytes %q seen %d sampled %d\nwant obj %s bytes %q seen %d sampled %d",
+				c.name, c.opts, obj, byt, st.Seen, st.Sampled, c.object, c.bytes, c.seen, c.sampled)
+		}
+	}
+}

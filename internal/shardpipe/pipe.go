@@ -8,9 +8,8 @@
 // The pipeline carries no model state of its own — each worker invokes
 // a caller-supplied consume function against its shard's private
 // consumer, so any stack model whose histograms merge (see
-// internal/model's CapSharded) can ride the same plumbing. Extracted
-// from the original KRR ShardedProfiler so the router/batch/drain
-// machinery exists exactly once.
+// internal/model's CapSharded) can ride the same plumbing; its one
+// user is model.Sharded.
 //
 // For online monitoring the pipe supports Quiesce — a barrier that
 // briefly parks every worker with its queue drained so the caller can

@@ -9,15 +9,15 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - Profiler (internal/core) — the KRR stack with O(K log M)
-//     backward updates, optional byte-granularity distances for
-//     variable object sizes, and SHARDS-style spatial sampling.
-//   - Simulators (internal/simulator, internal/redislike) — ground
-//     truth: exact LRU, K-LRU, and a Redis-like engine.
 //   - Models (internal/model) — the unified streaming layer: every
 //     MRC technique (KRR, Olken, SHARDS, AET, Counter Stacks, MIMIR,
 //     NSP) behind one Model interface and name→factory registry; see
-//     Models, NewModel and BuildMRCWith.
+//     Models, NewModel, BuildMRC and BuildMRCWith. The KRR models
+//     (krr, krr-topdown, krr-linear, krr-bucket) wrap the stacks of
+//     internal/core with SHARDS-style spatial sampling and, for krr*,
+//     byte-granularity distances for variable object sizes.
+//   - Simulators (internal/simulator, internal/redislike) — ground
+//     truth: exact LRU, K-LRU, and a Redis-like engine.
 //   - Baselines (internal/olken, internal/shards, internal/stack) —
 //     exact-LRU stack models and SHARDS.
 //   - Workloads (internal/workload) — synthetic MSR-, YCSB- and
@@ -26,11 +26,15 @@
 // # Quick start
 //
 //	gen := krr.PresetReader("msr-web", 1.0, 42, false)
-//	curve, err := krr.BuildMRC(krr.Limit(gen, 1_000_000), krr.Config{
-//		K:            10,            // Redis maxmemory-samples
-//		SamplingRate: 0.001,         // SHARDS spatial sampling
+//	curve, err := krr.BuildMRC(krr.Limit(gen, 1_000_000), krr.ModelOptions{
+//		K:            10,    // Redis maxmemory-samples (0 means DefaultK = 5)
+//		SamplingRate: 0.001, // SHARDS spatial sampling
 //	})
 //	missRatio := curve.Eval(500_000) // cache of 500k objects
+//
+// For streaming use, NewModel builds the same model (or any other
+// registered one) to feed request by request and read with Snapshot
+// while the stream runs.
 package krr
 
 import (
@@ -69,85 +73,37 @@ type Trace = trace.Trace
 // Curve is a miss ratio curve.
 type Curve = mrc.Curve
 
-// Config assembles a Profiler. The zero value is invalid: K must be
-// at least 1.
-type Config = core.Config
-
-// Profiler builds K-LRU MRCs in one pass.
-type Profiler = core.Profiler
-
-// ShardedProfiler partitions one request stream across Config.Workers
-// independent KRR stacks (hash-sharded by key, SHARDS-style) and
-// merges their histograms. See NewShardedProfiler.
-type ShardedProfiler = core.ShardedProfiler
-
-// UpdateMethod selects the stack update sampler.
-type UpdateMethod = core.UpdateMethod
-
-// Update methods.
-const (
-	// UpdateBackward is Algorithm 2: O(K log M) per access (default).
-	UpdateBackward = core.Backward
-	// UpdateTopDown is Algorithm 1: O(K log² M) per access.
-	UpdateTopDown = core.TopDown
-	// UpdateLinear is Mattson's O(M) walk (reference baseline).
-	UpdateLinear = core.Linear
-)
-
 // ByteMode selects byte-granularity distance handling for variable
-// object sizes.
-type ByteMode = core.ByteMode
+// object sizes (ModelOptions.Bytes).
+type ByteMode = model.ByteMode
 
 // Byte modes.
 const (
 	// BytesOff disables byte-granularity distances.
-	BytesOff = core.BytesOff
+	BytesOff = model.BytesOff
+	// BytesOn enables the model's native byte tracking (the paper's
+	// sizeArray for KRR, exact for tree stacks).
+	BytesOn = model.BytesOn
 	// BytesUniform estimates byte distances assuming uniform sizes.
-	BytesUniform = core.BytesUniform
+	BytesUniform = model.BytesUniform
 	// BytesSizeArray enables the paper's var-KRR sizeArray.
-	BytesSizeArray = core.BytesSizeArray
+	BytesSizeArray = model.BytesSizeArray
 	// BytesFenwick enables exact Fenwick-tree byte distances.
-	BytesFenwick = core.BytesFenwick
+	BytesFenwick = model.BytesFenwick
 )
 
-// BucketConfig assembles a BucketProfiler. The zero value is invalid:
-// K must be at least 1; Ratio 0 selects DefaultBucketRatio.
-type BucketConfig = core.BucketConfig
-
-// BucketProfiler builds K-LRU MRCs with the bucketized KRR stack:
-// geometric position buckets over one open-addressing key table,
-// O(log M) work per reference with no pow on the hot path, trading a
-// bounded, ratio-dependent accuracy loss for a ~10x faster update
-// than the backward sampler (see the krr-bucket model and
-// difftest.BucketEnvelope).
-type BucketProfiler = core.BucketProfiler
-
-// DefaultBucketRatio is the bucketized stack's default geometric
-// bucket growth ratio.
+// DefaultBucketRatio is the krr-bucket model's default geometric
+// bucket growth ratio (ModelOptions.BucketRatio).
 const DefaultBucketRatio = core.DefaultBucketRatio
 
-// NewProfiler builds a KRR profiler.
-func NewProfiler(cfg Config) (*Profiler, error) { return core.NewProfiler(cfg) }
-
-// NewBucketProfiler builds a bucketized KRR profiler.
-func NewBucketProfiler(cfg BucketConfig) (*BucketProfiler, error) {
-	return core.NewBucketProfiler(cfg)
+// BuildMRC drains the reader through the krr model — the paper's KRR
+// stack with backward updates — and returns the object-granularity
+// miss ratio curve. It is BuildMRCWith("krr", r, opts): opts.K = 0
+// means DefaultK, and opts.Workers > 1 fans the requests out across
+// the sharded pipeline.
+func BuildMRC(r Reader, opts ModelOptions) (*Curve, error) {
+	return BuildMRCWith("krr", r, opts)
 }
-
-// NewShardedProfiler builds a cfg.Workers-way sharded profiler: the
-// caller's goroutine routes requests to per-worker stacks over batched
-// channels, and ObjectMRC/ByteMRC merge the per-shard histograms with
-// the SHARDS distance rescaling. Feed it with Process/ProcessAll from
-// a single goroutine and Close it (the MRC accessors do) before
-// reading results.
-func NewShardedProfiler(cfg Config) (*ShardedProfiler, error) {
-	return core.NewShardedProfiler(cfg)
-}
-
-// BuildMRC drains the reader through a KRR profiler and returns the
-// object-granularity miss ratio curve. With cfg.Workers > 1 the
-// requests are fanned out across a sharded profiler pipeline.
-func BuildMRC(r Reader, cfg Config) (*Curve, error) { return core.BuildMRC(r, cfg) }
 
 // Model is a streaming MRC constructor from the unified model layer:
 // any registered technique (KRR, Olken, SHARDS, AET, Counter Stacks,

@@ -12,7 +12,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	if gen == nil {
 		t.Fatal("known preset returned nil")
 	}
-	curve, err := krr.BuildMRC(krr.Limit(gen, 30000), krr.Config{K: 10})
+	curve, err := krr.BuildMRC(krr.Limit(gen, 30000), krr.ModelOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFacadeModelMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 5
-	model, err := krr.BuildMRC(tr.Reader(), krr.Config{K: k, Seed: 3})
+	model, err := krr.BuildMRC(tr.Reader(), krr.ModelOptions{K: k, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +93,18 @@ func TestFacadeHelpers(t *testing.T) {
 
 func TestFacadeVariableSizes(t *testing.T) {
 	gen := krr.PresetReader("tw-26.0", 0.02, 5, true)
-	p, err := krr.NewProfiler(krr.Config{K: 8, Seed: 1, Bytes: krr.BytesSizeArray})
+	m, err := krr.NewModel("krr", krr.ModelOptions{K: 8, Seed: 1, Bytes: krr.BytesSizeArray})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr, _ := krr.Collect(gen, 30000)
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
+	for _, req := range tr.Reqs {
+		if err := m.Process(req); err != nil {
+			t.Fatal(err)
+		}
 	}
-	bc, err := p.ByteMRC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bc.Eval(0) != 1 || bc.Len() < 3 {
+	bc := m.ByteMRC()
+	if bc == nil || bc.Eval(0) != 1 || bc.Len() < 3 {
 		t.Fatal("byte curve malformed")
 	}
 }
