@@ -4,8 +4,7 @@
 // POST, routed by tenant id — and operators read live miss-ratio
 // curves, fleet-wide memory accounting, and a partitioning plan that
 // waterfills a shared cache budget across tenants by marginal
-// miss-ratio gain. The single-tenant endpoints of earlier versions
-// remain as aliases for the "default" tenant.
+// miss-ratio gain.
 //
 // Tenant endpoints:
 //
@@ -24,7 +23,7 @@
 //	                              trace format (KRT1) with Content-Type
 //	                              application/octet-stream. Unknown ids
 //	                              are auto-created with the default
-//	                              model spec.
+//	                              model spec; reads of them 404.
 //	GET    /tenants/{id}/mrc?size=N     miss ratio at one cache size,
 //	                              from a live snapshot; &unit=bytes
 //	                              evaluates the byte curve.
@@ -41,24 +40,24 @@
 //
 // Process-wide:
 //
-//	POST /ingest, GET /mrc, /curve, /stats   aliases for the
-//	                              "default" tenant.
-//	GET  /metrics    Prometheus text exposition: server and fleet
-//	                 metrics unlabeled, per-tenant metrics labeled
-//	                 tenant="id".
-//	GET  /debug/vars expvar JSON. /debug/pprof: profiling handlers.
+//	GET  /metrics    Prometheus text exposition, the only one: server
+//	                 and fleet metrics unlabeled, per-tenant metrics
+//	                 labeled tenant="id".
+//	GET  /debug/pprof/  profiling handlers.
 //	GET  /healthz    liveness probe.
 //
-// On SIGTERM/SIGINT the server stops accepting requests, finalizes the
-// default tenant's model, and writes its final curve as JSON to -final
-// (or stdout).
+// With -tcp the daemon also serves the binary wire ingest plane
+// (internal/wire). Both front ends feed fleet.Registry.IngestBatch.
+//
+// On SIGTERM/SIGINT the server stops accepting requests, drains the
+// wire plane, and writes the "default" tenant's final curve as JSON to
+// -final (or stdout).
 package main
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
@@ -83,7 +82,7 @@ import (
 	"krr/internal/wire"
 )
 
-// defaultTenant is the id behind the single-tenant legacy endpoints.
+// defaultTenant is the tenant whose curve -final writes on shutdown.
 const defaultTenant = "default"
 
 func main() {
@@ -125,11 +124,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("krrserve: %v", err)
 	}
-	// Mirror the metric set into /debug/vars. Done here, not in
-	// newServer: expvar names are process-global and panic on reuse,
-	// and tests build many servers per process.
-	srv.set.Publish("krrserve")
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
@@ -228,7 +222,7 @@ func newServer(cfg fleet.Config) (*server, error) {
 		start: time.Now(),
 		set:   telemetry.NewSet(),
 	}
-	s.set.CounterFunc("krrserve_ingest_requests_total", "trace requests accepted over HTTP", s.ingests.Load)
+	s.set.CounterFunc("krrserve_ingest_requests_total", "trace requests ingested over HTTP and wire", s.ingests.Load)
 	s.set.CounterFunc("krrserve_ingest_errors_total", "ingest bodies rejected", s.ingestErrs.Load)
 	s.set.CounterFunc("krrserve_snapshots_total", "live curve snapshots served", s.snapshots.Load)
 	s.set.GaugeFunc("krrserve_uptime_seconds", "seconds since process start", func() float64 {
@@ -272,14 +266,8 @@ func (s *server) routes() *http.ServeMux {
 	mux.HandleFunc("GET /tenants/{id}/curve", s.handleCurve)
 	mux.HandleFunc("GET /tenants/{id}/stats", s.handleStats)
 	mux.HandleFunc("GET /allocate", s.handleAllocate)
-	// Single-tenant aliases.
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("GET /mrc", s.handleMRC)
-	mux.HandleFunc("GET /curve", s.handleCurve)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	// Process-wide.
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -289,15 +277,6 @@ func (s *server) routes() *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	return mux
-}
-
-// tenantID resolves the tenant a request addresses: the {id} path
-// value, or the default tenant on the legacy routes.
-func tenantID(r *http.Request) string {
-	if id := r.PathValue("id"); id != "" {
-		return id
-	}
-	return defaultTenant
 }
 
 // tenantSpec is the POST /tenants body.
@@ -413,41 +392,50 @@ func bodyReader(r *http.Request) (trace.Reader, error) {
 	return newNDJSONReader(r.Body), nil
 }
 
-func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// errFinalized rejects ingest after shutdown began.
+var errFinalized = errors.New("server is finalized")
+
+// ingest is the server-side step both front ends share: it refuses
+// input once the server is finalized, runs feed, and counts the
+// requests feed ingested and any failure.
+func (s *server) ingest(feed func() (uint64, error)) (uint64, error) {
 	if s.final.Load() {
-		http.Error(w, "server is finalized", http.StatusConflict)
-		return
+		return 0, errFinalized
 	}
-	reader, err := bodyReader(r)
+	n, err := feed()
+	s.ingests.Add(n)
 	if err != nil {
 		s.ingestErrs.Inc()
+	}
+	return n, err
+}
+
+func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	reader, badBody := bodyReader(r)
+	count, err := s.ingest(func() (uint64, error) {
+		if badBody != nil {
+			return 0, badBody
+		}
+		return s.reg.Ingest(r.PathValue("id"), reader)
+	})
+	switch {
+	case errors.Is(err, errFinalized):
+		http.Error(w, err.Error(), http.StatusConflict)
+	case badBody != nil:
 		http.Error(w, fmt.Sprintf("bad binary trace: %v", err), http.StatusBadRequest)
-		return
-	}
-	count, err := s.reg.Ingest(tenantID(r), reader)
-	s.ingests.Add(count)
-	if err != nil {
-		s.ingestErrs.Inc()
+	case err != nil:
 		http.Error(w, fmt.Sprintf("ingest stopped after %d requests: %v", count, err),
 			http.StatusBadRequest)
-		return
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, "{\"ingested\": %d}\n", count)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"ingested\": %d}\n", count)
 }
 
 // read takes a tenant's live curve in the requested unit, serving 404
-// for unknown ids (the legacy default tenant is auto-created instead,
-// so pre-ingest reads keep returning the empty curve as before) and
-// 400 for a bad unit. The caller releases the read.
+// for unknown ids and 400 for a bad unit. The caller releases the
+// read.
 func (s *server) read(w http.ResponseWriter, r *http.Request) (fleet.CurveRead, bool) {
-	id := tenantID(r)
-	if id == defaultTenant {
-		if _, err := s.reg.Ensure(id); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return fleet.CurveRead{}, false
-		}
-	}
 	var bytes bool
 	switch unit := r.URL.Query().Get("unit"); unit {
 	case "", "objects":
@@ -457,7 +445,7 @@ func (s *server) read(w http.ResponseWriter, r *http.Request) (fleet.CurveRead, 
 		http.Error(w, fmt.Sprintf("unknown unit %q (want objects or bytes)", unit), http.StatusBadRequest)
 		return fleet.CurveRead{}, false
 	}
-	rd, err := s.reg.Read(id, bytes)
+	rd, err := s.reg.Read(r.PathValue("id"), bytes)
 	switch {
 	case errors.Is(err, fleet.ErrNoByteCurve):
 		http.Error(w, "model was built without a byte mode (-bytes off)", http.StatusBadRequest)
@@ -509,13 +497,7 @@ func (s *server) handleCurve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	id := tenantID(r)
-	if id == defaultTenant {
-		if _, err := s.reg.Ensure(id); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-	}
+	id := r.PathValue("id")
 	ten, ok := s.reg.Get(id)
 	if !ok {
 		http.Error(w, "no such tenant", http.StatusNotFound)

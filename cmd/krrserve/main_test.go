@@ -77,7 +77,7 @@ func TestIngestNDJSONAndMRC(t *testing.T) {
 		fmt.Fprintf(&b, "{\"key\": %d}\n", i%97)
 	}
 	b.WriteString("{\"key\": \"user:42\", \"size\": 512, \"op\": \"set\"}\n")
-	resp := post(t, ts.URL+"/ingest", "application/x-ndjson", b.String())
+	resp := post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", b.String())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
@@ -91,7 +91,7 @@ func TestIngestNDJSONAndMRC(t *testing.T) {
 		t.Fatalf("ingested %d, want 2001", ing.Ingested)
 	}
 
-	resp = get(t, ts.URL+"/mrc?size=50")
+	resp = get(t, ts.URL+"/tenants/default/mrc?size=50")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/mrc status %d", resp.StatusCode)
 	}
@@ -111,7 +111,7 @@ func TestIngestNDJSONAndMRC(t *testing.T) {
 	}
 
 	// Snapshots must not finalize: a second ingest still succeeds.
-	resp = post(t, ts.URL+"/ingest", "application/x-ndjson", "{\"key\": 1}\n")
+	resp = post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", "{\"key\": 1}\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-snapshot ingest status %d", resp.StatusCode)
 	}
@@ -129,12 +129,12 @@ func TestIngestBinary(t *testing.T) {
 	if err := trace.WriteBinary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	resp := post(t, ts.URL+"/ingest", "application/octet-stream", buf.String())
+	resp := post(t, ts.URL+"/tenants/default/ingest", "application/octet-stream", buf.String())
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("binary ingest status %d", resp.StatusCode)
 	}
 
-	resp = get(t, ts.URL+"/curve?points=16")
+	resp = get(t, ts.URL+"/tenants/default/curve?points=16")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/curve status %d", resp.StatusCode)
 	}
@@ -154,12 +154,12 @@ func TestIngestRejectsGarbage(t *testing.T) {
 		"{\"size\": 8}\n",                   // missing key
 		"{\"key\": 1, \"op\": \"frobn\"}\n", // unknown op
 	} {
-		resp := post(t, ts.URL+"/ingest", "application/x-ndjson", body)
+		resp := post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp := post(t, ts.URL+"/ingest", "application/octet-stream", "XXXXnot a trace")
+	resp := post(t, ts.URL+"/tenants/default/ingest", "application/octet-stream", "XXXXnot a trace")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad magic: status %d, want 400", resp.StatusCode)
 	}
@@ -170,8 +170,8 @@ func TestIngestRejectsGarbage(t *testing.T) {
 
 func TestByteUnitWithoutByteMode(t *testing.T) {
 	_, ts := testServer(t, model.Options{K: 4, Seed: 1}) // bytes off
-	post(t, ts.URL+"/ingest", "application/x-ndjson", "{\"key\": 1}\n")
-	resp := get(t, ts.URL+"/mrc?size=100&unit=bytes")
+	post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", "{\"key\": 1}\n")
+	resp := get(t, ts.URL+"/tenants/default/mrc?size=100&unit=bytes")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("byte query on bytes-off model: status %d, want 400", resp.StatusCode)
 	}
@@ -183,8 +183,8 @@ func TestByteUnitCurve(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		fmt.Fprintf(&b, "{\"key\": %d, \"size\": %d}\n", i%200, 100+(i%7)*300)
 	}
-	post(t, ts.URL+"/ingest", "application/x-ndjson", b.String())
-	resp := get(t, ts.URL+"/curve?unit=bytes")
+	post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", b.String())
+	resp := get(t, ts.URL+"/tenants/default/curve?unit=bytes")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/curve unit=bytes status %d", resp.StatusCode)
 	}
@@ -199,7 +199,7 @@ func TestByteUnitCurve(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	_, ts := testServer(t, model.Options{K: 4, Seed: 1})
-	post(t, ts.URL+"/ingest", "application/x-ndjson", "{\"key\": 1}\n{\"key\": 2}\n")
+	post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", "{\"key\": 1}\n{\"key\": 2}\n")
 	resp := get(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics status %d", resp.StatusCode)
@@ -251,8 +251,8 @@ func TestShardedServer(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		fmt.Fprintf(&b, "{\"key\": %d}\n", i%300)
 	}
-	post(t, ts.URL+"/ingest", "application/x-ndjson", b.String())
-	resp := get(t, ts.URL+"/curve")
+	post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", b.String())
+	resp := get(t, ts.URL+"/tenants/default/curve")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/curve status %d", resp.StatusCode)
 	}
@@ -273,8 +273,8 @@ func TestShardedServer(t *testing.T) {
 
 func TestStatsAndHealth(t *testing.T) {
 	_, ts := testServer(t, model.Options{K: 4, Seed: 1})
-	post(t, ts.URL+"/ingest", "application/x-ndjson", "{\"key\": 9}\n")
-	resp := get(t, ts.URL+"/stats")
+	post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", "{\"key\": 9}\n")
+	resp := get(t, ts.URL+"/tenants/default/stats")
 	var st struct {
 		Seen      uint64 `json:"seen"`
 		Finalized bool   `json:"finalized"`
@@ -300,9 +300,9 @@ func TestFinalCurveMatchesLastSnapshot(t *testing.T) {
 	for i := 0; i < 2500; i++ {
 		fmt.Fprintf(&b, "{\"key\": %d}\n", i%150)
 	}
-	post(t, ts.URL+"/ingest", "application/x-ndjson", b.String())
+	post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", b.String())
 
-	resp := get(t, ts.URL+"/curve")
+	resp := get(t, ts.URL+"/tenants/default/curve")
 	live, err := mrc.ReadJSON(resp.Body)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestFinalCurveMatchesLastSnapshot(t *testing.T) {
 
 	// Ingest after finalization is refused, not crashed — on every
 	// tenant, not just the default.
-	resp = post(t, ts.URL+"/ingest", "application/x-ndjson", "{\"key\": 1}\n")
+	resp = post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", "{\"key\": 1}\n")
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("post-final ingest status %d, want 409", resp.StatusCode)
 	}
@@ -410,9 +410,16 @@ func TestTenantLifecycle(t *testing.T) {
 	if c.Len() < 2 || c.Eval(0) != 1 {
 		t.Fatal("t2 curve malformed")
 	}
-	// Unknown tenants 404 on reads instead of auto-creating.
-	if resp := get(t, ts.URL+"/tenants/ghost/curve"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("ghost curve status %d, want 404", resp.StatusCode)
+	// Unknown tenants 404 on reads instead of auto-creating, the
+	// default tenant included; the single-tenant aliases and the expvar
+	// mirror are gone.
+	for _, path := range []string{"/tenants/ghost/curve", "/tenants/default/stats", "/mrc?size=1", "/curve", "/stats", "/debug/vars"} {
+		if resp := get(t, ts.URL+path); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	if resp := post(t, ts.URL+"/ingest", "application/x-ndjson", "{\"key\": 1}\n"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /ingest status %d, want 404", resp.StatusCode)
 	}
 
 	// Delete removes exactly once.

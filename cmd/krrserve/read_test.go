@@ -134,8 +134,8 @@ func TestReadResponsesMatchSnapshotPath(t *testing.T) {
 	for _, id := range ids {
 		demands = append(demands, fleet.Demand{Tenant: id, Curve: snaps[id].Object, Weight: float64(snaps[id].Stats.Seen)})
 	}
-	// The default tenant the /mrc alias would create is not touched,
-	// so the fleet holds exactly the tenants above.
+	// Reads never create tenants, so the fleet holds exactly the
+	// tenants above.
 	for _, budget := range []uint64{1, 5000, 40_000, 200_000} {
 		want := encodeJSON(t, map[string]any{
 			"waterfill": fleet.Waterfill(demands, budget),

@@ -54,7 +54,7 @@ func TestServeSmoke(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		fmt.Fprintf(&b, "{\"key\": %d}\n", i%400)
 	}
-	resp, err := http.Post(base+"/ingest", "application/x-ndjson", strings.NewReader(b.String()))
+	resp, err := http.Post(base+"/tenants/default/ingest", "application/x-ndjson", strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(base + "/mrc?size=100")
+	resp, err = http.Get(base + "/tenants/default/mrc?size=100")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,29 @@
 package main
 
 import (
-	"errors"
 	"net"
 
 	"krr/internal/trace"
 	"krr/internal/wire"
 )
 
-// errFinalized rejects wire ingest after shutdown began.
-var errFinalized = errors.New("server is finalized")
-
 // fleetSink bridges the wire data plane to the fleet registry: one
-// accepted frame becomes one batched ingest into the tenant's model,
-// going through the model's BatchProcessor fast path. Tenants are
-// auto-created exactly like the HTTP ingest path.
+// accepted frame becomes one Registry.IngestBatch call, with the same
+// server-side accounting as an HTTP body. Tenants are auto-created
+// exactly like the HTTP ingest path.
 type fleetSink struct {
 	s *server
 }
 
 // IngestBatch implements wire.Sink.
 func (fs fleetSink) IngestBatch(tenant string, reqs []trace.Request) error {
-	if fs.s.final.Load() {
-		return errFinalized
-	}
-	if err := fs.s.reg.IngestBatch(tenant, reqs); err != nil {
-		fs.s.ingestErrs.Inc()
-		return err
-	}
-	fs.s.ingests.Add(uint64(len(reqs)))
-	return nil
+	_, err := fs.s.ingest(func() (uint64, error) {
+		if err := fs.s.reg.IngestBatch(tenant, reqs); err != nil {
+			return 0, err
+		}
+		return uint64(len(reqs)), nil
+	})
+	return err
 }
 
 // serveWire serves the binary ingest plane on ln and registers its

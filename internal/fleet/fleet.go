@@ -8,14 +8,14 @@
 // (allocate.go).
 //
 // Locking: the registry RWMutex guards only the tenant map; each
-// tenant's mutex serializes access to its (serial) model. No path
+// tenant's mutex serializes access to its (serial) model, one batch
+// at a time and never across a read of the ingest source. No path
 // acquires the registry lock while holding a tenant lock, so the two
-// levels cannot deadlock. Footprints are cached in per-tenant atomics
-// after each ingest, making budget checks and /metrics scrapes pure
-// atomic reads. A tenant evicted while another goroutine is mid-ingest
-// into it is merely orphaned: the ingest completes into a model no
-// longer counted or reachable, and the arena is collected when the
-// ingest returns.
+// levels cannot deadlock. Footprints are cached in per-tenant atomics,
+// making budget checks and /metrics scrapes pure atomic reads. A
+// tenant evicted mid-batch is merely orphaned: the batch completes
+// into a model no longer reachable, and the next batch for the id
+// creates a fresh tenant with the default spec.
 package fleet
 
 import (
@@ -217,19 +217,6 @@ func (t *Tenant) Stats() model.Stats {
 	return t.model.Stats()
 }
 
-// Ingest drains a reader into the tenant's model and refreshes the
-// cached footprint. It returns the number of requests processed.
-func (t *Tenant) Ingest(r trace.Reader) (uint64, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	before := t.model.Stats().Seen
-	err := model.ProcessAll(t.model, r)
-	n := t.model.Stats().Seen - before
-	t.requests.Add(n)
-	t.footprint.Store(model.FootprintOf(t.model))
-	return n, err
-}
-
 // footprintEvery is the batch cadence of footprint refreshes on the
 // IngestBatch hot path. Footprint reads quiesce sharded pipelines —
 // far too expensive per frame — so the cached value may lag by up to
@@ -237,13 +224,11 @@ func (t *Tenant) Ingest(r trace.Reader) (uint64, error) {
 // frame sizes) between refreshes.
 const footprintEvery = 64
 
-// IngestBatch feeds one decoded request batch to the tenant's model —
-// the wire ingest hot path. It differs from Ingest in two ways: the
-// batch goes through the model's BatchProcessor fast path when it has
-// one, and the cached footprint is refreshed only every footprintEvery
-// batches instead of per call. The returned bool reports whether this
-// call refreshed the footprint; callers re-check the memory budget
-// only then.
+// IngestBatch feeds one decoded request batch to the tenant's model,
+// the only path requests take into it. The cached footprint is
+// refreshed only every footprintEvery batches; the returned bool
+// reports whether this call refreshed it, and callers re-check the
+// memory budget only then.
 func (t *Tenant) IngestBatch(reqs []trace.Request) (refreshed bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -416,23 +401,52 @@ func (r *Registry) Footprint() int64 {
 	return total
 }
 
-// Ingest drains a reader into the tenant (auto-created when absent),
-// then enforces the global memory budget, evicting idle tenants if the
-// new data pushed the fleet over.
+// ingestBatchLen is Ingest's batch length: the wire frame length of
+// krrload and krrbench, so both front ends feed batches of one size.
+const ingestBatchLen = 4096
+
+var ingestBufs = sync.Pool{New: func() any { return new([ingestBatchLen]trace.Request) }}
+
+// Ingest drains a reader into the tenant (auto-created when absent) as
+// a loop of IngestBatch calls, decoding each batch before the tenant
+// lock is taken: a slow reader, such as an HTTP body still uploading,
+// never blocks the tenant. When the reader ends, the footprint is
+// refreshed and the memory budget enforced once. It returns the number
+// of requests ingested, including those before a read error.
 func (r *Registry) Ingest(id string, reader trace.Reader) (uint64, error) {
-	t, err := r.Ensure(id)
-	if err != nil {
+	if _, err := r.Ensure(id); err != nil {
 		return 0, err
 	}
-	t.touch(r.cfg.Clock())
-	n, err := t.Ingest(reader)
-	r.enforceBudget(id)
+	buf := ingestBufs.Get().(*[ingestBatchLen]trace.Request)
+	defer ingestBufs.Put(buf)
+	var n uint64
+	var err error
+	for err == nil {
+		var k int
+		k, err = trace.ReadBatch(reader, buf[:])
+		if k > 0 {
+			if ierr := r.IngestBatch(id, buf[:k]); ierr != nil {
+				err = ierr
+				break
+			}
+			n += uint64(k)
+		}
+	}
+	if t, ok := r.Get(id); ok {
+		t.mu.Lock()
+		t.footprint.Store(model.FootprintOf(t.model))
+		t.mu.Unlock()
+		r.enforceBudget(id)
+	}
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
 	return n, err
 }
 
 // IngestBatch feeds one decoded batch to the tenant (auto-created when
-// absent) — the wire data plane's sink. Budget enforcement rides the
-// tenant's amortized footprint refresh instead of running per frame.
+// absent) — the wire data plane's sink and Ingest's step. Budget
+// enforcement rides the tenant's amortized footprint refresh.
 func (r *Registry) IngestBatch(id string, reqs []trace.Request) error {
 	t, err := r.Ensure(id)
 	if err != nil {

@@ -108,15 +108,6 @@ func TestHistogramExposition(t *testing.T) {
 			t.Fatalf("labeled exposition missing %q:\n%s", want, out)
 		}
 	}
-
-	// Expvar view exports count/sum and the two headline quantiles.
-	m := set.Expvar()().(map[string]float64)
-	if m["ingest_latency_seconds_count"] != 3 {
-		t.Fatalf("expvar count = %v", m["ingest_latency_seconds_count"])
-	}
-	if m["ingest_latency_seconds_p99"] == 0 {
-		t.Fatal("expvar p99 missing")
-	}
 }
 
 func TestExpBuckets(t *testing.T) {

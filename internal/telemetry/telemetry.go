@@ -1,7 +1,7 @@
 // Package telemetry provides the cheap runtime metrics layer behind
 // online monitoring: allocation-free atomic counters and gauges that a
 // hot path updates with single RMW instructions, grouped into named
-// Sets with expvar and Prometheus text exposition.
+// Sets with Prometheus text exposition.
 //
 // The design splits instrumentation from exposition. Components own
 // Counter/Gauge values as plain struct fields (single-writer updates
@@ -15,7 +15,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"strconv"
@@ -205,26 +204,3 @@ func formatValue(v float64) string {
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
-
-// Expvar returns the set as an expvar.Func rendering a name→value
-// map, suitable for expvar.Publish.
-func (s *Set) Expvar() expvar.Func {
-	return func() any {
-		out := make(map[string]float64, len(s.metrics))
-		for _, m := range s.snapshot() {
-			if m.hist != nil {
-				out[m.name+"_count"] = float64(m.hist.Count())
-				out[m.name+"_sum"] = m.hist.Sum()
-				out[m.name+"_p50"] = m.hist.Quantile(0.50)
-				out[m.name+"_p99"] = m.hist.Quantile(0.99)
-				continue
-			}
-			out[m.name] = m.read()
-		}
-		return out
-	}
-}
-
-// Publish registers the set under name in the process-global expvar
-// namespace (served at /debug/vars).
-func (s *Set) Publish(name string) { expvar.Publish(name, s.Expvar()) }

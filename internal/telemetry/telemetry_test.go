@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -50,19 +49,6 @@ func TestSetPrometheusOutput(t *testing.T) {
 	// Registration order is preserved.
 	if strings.Index(out, "reqs_total") > strings.Index(out, "queue_depth") {
 		t.Fatal("metrics out of registration order")
-	}
-}
-
-func TestSetExpvar(t *testing.T) {
-	s := NewSet()
-	s.Counter("a", "").Add(2)
-	s.Gauge("b", "").Set(-1)
-	var decoded map[string]float64
-	if err := json.Unmarshal([]byte(s.Expvar().String()), &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded["a"] != 2 || decoded["b"] != -1 {
-		t.Fatalf("expvar map = %v", decoded)
 	}
 }
 

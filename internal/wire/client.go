@@ -22,7 +22,7 @@ const latencyRing = 4096
 type Stats struct {
 	// Frames and Requests count everything sent.
 	Frames, Requests uint64
-	// AckedFrames/AckedRequests were accepted by the server.
+	// AckedFrames/AckedRequests were admitted into the server's queue.
 	AckedFrames, AckedRequests uint64
 	// DroppedFrames/DroppedRequests were shed by the server's bounded
 	// queue (StatusOverloaded).
@@ -208,10 +208,11 @@ func (c *Client) Stats() Stats {
 }
 
 // Close flushes, half-closes the write side, waits for the server to
-// ack every in-flight frame (the ack stream ends when the server
-// finishes the connection), and closes the socket. The returned Stats
-// cover the whole connection; the error reports protocol or transport
-// failures, not overload drops — those are in the Stats.
+// ack every in-flight frame and drain its queue (the ack stream ends
+// when the server finishes the connection), and closes the socket. The
+// returned Stats cover the whole connection; the error reports
+// protocol, transport and sink failures, not overload drops — those
+// are in the Stats. Over TCP, nil means every acked frame was ingested.
 func (c *Client) Close() (Stats, error) {
 	c.sendMu.Lock()
 	flushErr := c.bw.Flush()

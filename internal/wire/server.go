@@ -70,6 +70,8 @@ type Server struct {
 	dropReqs   telemetry.Counter
 	badFrames  telemetry.Counter
 	sinkErrs   telemetry.Counter
+	discFrames telemetry.Counter
+	discReqs   telemetry.Counter
 	latency    *telemetry.Histogram
 }
 
@@ -159,7 +161,9 @@ func (s *Server) forget(conn net.Conn) {
 
 // serveConn runs one connection: header, then the frame loop. The
 // reader owns the ack writer (single writer, acks stay in frame
-// order); the worker owns sink calls and batch recycling.
+// order); the worker owns sink calls and batch recycling. Acks are
+// admission acks, so a sink failure is reported after the drain as one
+// trailing StatusBad.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.forget(conn)
 	defer conn.Close()
@@ -181,18 +185,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		defer workerWg.Done()
 		for batch := range queue {
+			if !sinkFailed.Load() {
+				t0 := time.Now()
+				if err := s.cfg.Sink.IngestBatch(tenant, batch); err != nil {
+					s.sinkErrs.Inc()
+					sinkFailed.Store(true)
+				}
+				s.latency.Observe(time.Since(t0).Seconds())
+			}
 			if sinkFailed.Load() {
-				s.pool.Put(batch)
-				continue
+				// Acked but not ingested: the failing frame and every
+				// frame queued behind it.
+				s.discFrames.Inc()
+				s.discReqs.Add(uint64(len(batch)))
 			}
-			t0 := time.Now()
-			err := s.cfg.Sink.IngestBatch(tenant, batch)
-			s.latency.Observe(time.Since(t0).Seconds())
 			s.pool.Put(batch)
-			if err != nil {
-				s.sinkErrs.Inc()
-				sinkFailed.Store(true)
-			}
 		}
 	}()
 
@@ -246,6 +253,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	bw.Flush()
 	close(queue)
 	workerWg.Wait()
+	if sinkFailed.Load() {
+		bw.WriteByte(StatusBad)
+		bw.Flush()
+	}
 }
 
 // Latency returns the per-frame sink latency histogram (seconds).
@@ -271,6 +282,8 @@ func (s *Server) MetricsInto(set *telemetry.Set, prefix string) {
 	set.CounterFunc(prefix+"dropped_requests_total", "requests shed by full ingest queues", s.dropReqs.Load)
 	set.CounterFunc(prefix+"bad_frames_total", "malformed frames or headers", s.badFrames.Load)
 	set.CounterFunc(prefix+"sink_errors_total", "frames rejected by the ingest sink", s.sinkErrs.Load)
+	set.CounterFunc(prefix+"sink_discarded_frames_total", "admitted frames not ingested after a sink error (the failing frame included)", s.discFrames.Load)
+	set.CounterFunc(prefix+"sink_discarded_requests_total", "requests in admitted frames not ingested after a sink error", s.discReqs.Load)
 	set.RegisterHistogram(prefix+"ingest_latency_seconds", "per-frame sink ingest latency", s.latency)
 	set.GaugeFunc(prefix+"ingest_latency_p50_seconds", "median per-frame sink ingest latency", func() float64 {
 		return s.latency.Quantile(0.50)

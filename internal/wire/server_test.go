@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -265,6 +267,190 @@ func TestServerSinkError(t *testing.T) {
 	}
 	if srv.sinkErrs.Load() == 0 {
 		t.Fatal("sink errors not counted")
+	}
+}
+
+// TestServerSinkErrorDuringDrain pins what an admission ack promises.
+// All six frames are acked before the sink runs, and the sink fails on
+// frame 3. Close must then return an error, and the frames left
+// behind are counted as discarded: acked minus ingested.
+func TestServerSinkErrorDuringDrain(t *testing.T) {
+	const frames, perFrame, failAt = 6, 64, 3
+	gate := make(chan struct{})
+	var calls atomic.Int64
+	sink := SinkFunc(func(tenant string, reqs []trace.Request) error {
+		n := calls.Add(1)
+		if n == 1 {
+			<-gate
+		}
+		if n == failAt {
+			return trace.ErrBadFormat
+		}
+		return nil
+	})
+	srv, addr := startServer(t, Config{Sink: sink})
+	set := telemetry.NewSet()
+	srv.MetricsInto(set, "wire_")
+
+	c, err := Dial(addr, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames; i++ {
+		if err := c.SendBatch(testReqs(perFrame)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().AckedFrames < frames {
+		if time.Now().After(deadline) {
+			t.Fatalf("acks stalled: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	st, err := c.Close()
+	if err == nil {
+		t.Fatalf("Close returned nil although the sink failed on frame %d of %d; stats %+v", failAt, frames, st)
+	}
+	srv.Close()
+	if st.AckedFrames != frames {
+		t.Fatalf("acked %d frames, want %d", st.AckedFrames, frames)
+	}
+	if calls.Load() != failAt {
+		t.Fatalf("sink called %d times, want %d (no calls after the failure)", calls.Load(), failAt)
+	}
+	const ingested = failAt - 1
+	var sb strings.Builder
+	if err := set.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"wire_sink_errors_total 1\n",
+		fmt.Sprintf("wire_sink_discarded_frames_total %d\n", frames-ingested),
+		fmt.Sprintf("wire_sink_discarded_requests_total %d\n", (frames-ingested)*perFrame),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("metrics missing %q:\n%s", want, sb.String())
+		}
+	}
+}
+
+// TestFailureDisconnectMidFrame pins a client that disconnects halfway
+// through a frame: the whole frames before it are ingested, the torn
+// frame counts as one bad frame, and the connection is released.
+func TestFailureDisconnectMidFrame(t *testing.T) {
+	const perFrame = 100
+	sink := &collectSink{}
+	srv, addr := startServer(t, Config{Sink: sink})
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteHeader(conn, "torn"); err != nil {
+		t.Fatal(err)
+	}
+	frame := AppendFrame(nil, testReqs(perFrame))
+	if _, err := conn.Write(append(append([]byte(nil), frame...), frame...)); err != nil {
+		t.Fatal(err)
+	}
+	// Read both acks first, so the close below leaves no unread data
+	// behind and the server sees a clean end of stream, not a reset.
+	acks := make([]byte, 2)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, acks); err != nil || acks[0] != StatusOK || acks[1] != StatusOK {
+		t.Fatalf("acks %v, err %v; want two StatusOK", acks, err)
+	}
+	if _, err := conn.Write(frame[:len(frame)/2]); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.active.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("wire_connections_active stuck at %d", srv.active.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sink.mu.Lock()
+	got := len(sink.got["torn"])
+	sink.mu.Unlock()
+	if got != 2*perFrame {
+		t.Fatalf("sink ingested %d requests, want %d", got, 2*perFrame)
+	}
+	if srv.frames.Load() != 2 || srv.badFrames.Load() != 1 {
+		t.Fatalf("frames %d bad %d, want 2 and 1", srv.frames.Load(), srv.badFrames.Load())
+	}
+}
+
+// TestFailureSlowTenant pins per-connection isolation: a sink blocked
+// on one tenant's connection neither delays another connection's acks
+// or ingest nor makes it shed frames.
+func TestFailureSlowTenant(t *testing.T) {
+	const frames, perFrame = 20, 100
+	gate := make(chan struct{})
+	collect := &collectSink{}
+	sink := SinkFunc(func(tenant string, reqs []trace.Request) error {
+		if tenant == "slow" {
+			<-gate
+		}
+		return collect.IngestBatch(tenant, reqs)
+	})
+	_, addr := startServer(t, Config{Sink: sink})
+
+	slow, err := Dial(addr, "slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.SendBatch(testReqs(perFrame)); err != nil {
+		t.Fatal(err)
+	}
+	if err := slow.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(gate)
+		if _, err := slow.Close(); err != nil {
+			t.Errorf("slow connection: %v", err)
+		}
+	}()
+
+	fast, err := Dial(addr, "fast")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested := func() int {
+		collect.mu.Lock()
+		defer collect.mu.Unlock()
+		return len(collect.got["fast"])
+	}
+	for i := 1; i <= frames; i++ {
+		if err := fast.SendBatch(testReqs(perFrame)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fast.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(time.Second)
+		for fast.Stats().AckedFrames < uint64(i) || ingested() < i*perFrame {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d not acked and ingested within 1s while another tenant's sink is blocked: %+v", i, fast.Stats())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	st, err := fast.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DroppedFrames != 0 || st.AckedFrames != frames {
+		t.Fatalf("fast connection: %+v, want %d acked and no drops", st, frames)
 	}
 }
 

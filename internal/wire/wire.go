@@ -36,6 +36,11 @@
 // queue depth, drops are visible to both sides, and a client that
 // wants lossless delivery throttles on the OK ack stream instead of
 // relying on unbounded server buffering.
+//
+// StatusOK admits a frame; it is ingested later. If the sink fails,
+// the server discards the frames still queued and, after draining,
+// writes one trailing StatusBad, so a clean end of the ack stream
+// means every acked frame was ingested.
 package wire
 
 import (
@@ -74,8 +79,8 @@ const (
 	// StatusOverloaded: the bounded queue was full; the frame was
 	// discarded and counted. Later frames may still be accepted.
 	StatusOverloaded byte = 1
-	// StatusBad: the frame (or stream) was malformed; the server closes
-	// the connection after sending it.
+	// StatusBad: the frame (or stream) was malformed, or the sink
+	// failed; the server closes the connection after sending it.
 	StatusBad byte = 0xff
 )
 

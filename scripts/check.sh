@@ -70,6 +70,9 @@ go test -count=1 -run TestFleetSmoke ./cmd/krrserve/
 echo "== ingest smoke (krrload -> krrserve wire plane over loopback, zero drops)"
 go test -count=1 -run TestIngestSmoke ./cmd/krrserve/
 
+echo "== ingest failure injection (-race: stalled HTTP body, sink failure in drain, disconnect mid-frame, slow tenant, eviction with frames queued)"
+go test -race -count=1 -run 'TestFailure|TestServerSinkError' ./internal/wire/ ./cmd/krrserve/
+
 echo "== wire hot-path alloc guard (decode must stay allocation-free)"
 go test -count=1 -run TestDecodeHotPathAllocFree ./internal/wire/
 
