@@ -11,7 +11,7 @@ import (
 // yields exactly the request the fallback decodes — it never accepts a
 // line the fallback rejects. Whole bodies (the fuzzer's bytes may hold
 // several lines) must drain to the same requests and the same error
-// with and without forceSlow.
+// with and without forceSlow, on recycled scanner buffers.
 func FuzzNDJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{"key": 42, "size": 512, "op": "get"}`,
@@ -62,10 +62,15 @@ func FuzzNDJSON(f *testing.F) {
 			}
 		}
 
-		fastReqs, fastErr := drain(newNDJSONReader(bytes.NewReader(line)))
+		// The forced-slow reader starts on the buffer the fast one
+		// released, so leftover bytes would show as a mismatch.
+		fastReader := newNDJSONReader(bytes.NewReader(line))
+		fastReqs, fastErr := drain(fastReader)
+		fastReader.release()
 		slowReader := newNDJSONReader(bytes.NewReader(line))
 		slowReader.forceSlow = true
 		slowReqs, slowErr := drain(slowReader)
+		slowReader.release()
 		if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
 			t.Fatalf("body %q: fast error %v, forced-slow error %v", line, fastErr, slowErr)
 		}

@@ -41,8 +41,10 @@
 // Process-wide:
 //
 //	GET  /metrics    Prometheus text exposition, the only one: server
-//	                 and fleet metrics unlabeled, per-tenant metrics
-//	                 labeled tenant="id".
+//	                 and fleet metrics unlabeled (the Go runtime's GC
+//	                 cycles, live heap and heap goal among them as
+//	                 krrserve_go_*), per-tenant metrics labeled
+//	                 tenant="id".
 //	GET  /debug/pprof/  profiling handlers.
 //	GET  /healthz    liveness probe.
 //
@@ -67,8 +69,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/metrics"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -228,8 +232,29 @@ func newServer(cfg fleet.Config) (*server, error) {
 	s.set.GaugeFunc("krrserve_uptime_seconds", "seconds since process start", func() float64 {
 		return time.Since(s.start).Seconds()
 	})
+	s.set.CounterFunc("krrserve_go_gc_cycles_total", "completed garbage collection cycles", runtimeMetric("/gc/cycles/total:gc-cycles"))
+	s.set.GaugeFunc("krrserve_go_heap_live_bytes", "heap bytes marked live by the last garbage collection", floatOf(runtimeMetric("/gc/heap/live:bytes")))
+	s.set.GaugeFunc("krrserve_go_heap_goal_bytes", "heap size at which the next garbage collection starts", floatOf(runtimeMetric("/gc/heap/goal:bytes")))
 	s.reg.MetricsInto(s.set, "fleet_")
 	return s, nil
+}
+
+// runtimeMetric reads one uint64 runtime/metrics value. The sample is
+// reused under a lock, so a read allocates nothing, and unlike
+// runtime.ReadMemStats it does not stop the world.
+func runtimeMetric(name string) func() uint64 {
+	var mu sync.Mutex
+	sample := []metrics.Sample{{Name: name}}
+	return func() uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+}
+
+func floatOf(read func() uint64) func() float64 {
+	return func() float64 { return float64(read()) }
 }
 
 func valueOr(s, def string) string {
@@ -384,7 +409,8 @@ func (n ndjsonReq) request() (trace.Request, error) {
 }
 
 // bodyReader adapts an ingest body (binary or NDJSON) to trace.Reader.
-// NDJSON goes through the allocation-free line parser in ndjson.go.
+// NDJSON goes through the allocation-free line parser in ndjson.go,
+// whose pooled buffer the caller releases.
 func bodyReader(r *http.Request) (trace.Reader, error) {
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
 		return trace.NewBinaryReader(r.Body)
@@ -412,6 +438,9 @@ func (s *server) ingest(feed func() (uint64, error)) (uint64, error) {
 
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	reader, badBody := bodyReader(r)
+	if nr, ok := reader.(*ndjsonReader); ok {
+		defer nr.release()
+	}
 	count, err := s.ingest(func() (uint64, error) {
 		if badBody != nil {
 			return 0, badBody

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -219,6 +220,61 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+}
+
+// TestMetricsRuntimeGC pins the Go runtime's memory metrics: every
+// scrape exposes the GC cycle count, live heap and heap goal, and the
+// cycle counter rises across a forced collection.
+func TestMetricsRuntimeGC(t *testing.T) {
+	_, ts := testServer(t, model.Options{K: 4, Seed: 1})
+	scrape := func() string {
+		var buf bytes.Buffer
+		buf.ReadFrom(get(t, ts.URL+"/metrics").Body)
+		return buf.String()
+	}
+	before := scrape()
+	for _, want := range []string{
+		"# TYPE krrserve_go_gc_cycles_total counter",
+		"# TYPE krrserve_go_heap_live_bytes gauge",
+		"# TYPE krrserve_go_heap_goal_bytes gauge",
+	} {
+		if !strings.Contains(before, want) {
+			t.Fatalf("/metrics missing %q in:\n%s", want, before)
+		}
+	}
+	runtime.GC()
+	after := scrape()
+	if c0, c1 := metricValue(t, before, "krrserve_go_gc_cycles_total"), metricValue(t, after, "krrserve_go_gc_cycles_total"); c1 <= c0 {
+		t.Fatalf("krrserve_go_gc_cycles_total %d -> %d across runtime.GC, want a rise", c0, c1)
+	}
+	if live, goal := metricValue(t, after, "krrserve_go_heap_live_bytes"), metricValue(t, after, "krrserve_go_heap_goal_bytes"); live == 0 || goal < live {
+		t.Fatalf("heap live %d goal %d, want 0 < live <= goal", live, goal)
+	}
+}
+
+// TestIngestRejectedPostLeavesNoResidue pins that a recycled NDJSON
+// buffer carries nothing from its last body: a POST rejected at line 3
+// ingests its first two lines, and the good POST after it, decoded on
+// the recycled buffer, ingests exactly its own lines.
+func TestIngestRejectedPostLeavesNoResidue(t *testing.T) {
+	// One P, so the second POST's pool Get returns the first's buffer.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, ts := testServer(t, model.Options{K: 4, Seed: 1})
+	bad := "{\"key\": 1}\n{\"key\": 2}\n{\"key\": oops}\n" + ndjsonKeys(500, 50)
+	if resp := post(t, ts.URL+"/tenants/r/ingest", "application/x-ndjson", bad); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad body status %d, want 400", resp.StatusCode)
+	}
+	const good = 300
+	resp := post(t, ts.URL+"/tenants/r/ingest", "application/x-ndjson", ndjsonKeys(good, 70))
+	var out struct{ Ingested uint64 }
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || out.Ingested != good {
+		t.Fatalf("good body: status %d ingested %d (err %v), want %d", resp.StatusCode, out.Ingested, err, good)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(get(t, ts.URL+"/metrics").Body)
+	if n := metricValue(t, buf.String(), `tenant_requests_total{tenant="r"}`); n != 2+good {
+		t.Fatalf("tenant_requests_total = %d, want %d", n, 2+good)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"krr/internal/hashing"
 	"krr/internal/trace"
@@ -27,6 +28,7 @@ import (
 // ingest cost, so this path is worth the hand-rolled scanner.
 type ndjsonReader struct {
 	sc   *bufio.Scanner
+	buf  *[ndjsonBufLen]byte // the pooled scanner buffer, until release
 	line int
 	// forceSlow routes every line through the encoding/json fallback —
 	// the equivalence tests pin fast == slow on identical input.
@@ -36,10 +38,30 @@ type ndjsonReader struct {
 // maxNDJSONLine bounds one ingest line (1 MiB, far past any real key).
 const maxNDJSONLine = 1 << 20
 
+// ndjsonBufLen is the scanner's initial buffer, recycled across bodies
+// through ndjsonBufs so a steady stream of POSTs allocates none.
+const ndjsonBufLen = 64 << 10
+
+var ndjsonBufs = sync.Pool{New: func() any { return new([ndjsonBufLen]byte) }}
+
+// newNDJSONReader wraps an ingest body. The caller must release the
+// reader once it is drained.
 func newNDJSONReader(r io.Reader) *ndjsonReader {
+	buf := ndjsonBufs.Get().(*[ndjsonBufLen]byte)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxNDJSONLine)
-	return &ndjsonReader{sc: sc}
+	sc.Buffer(buf[:], maxNDJSONLine)
+	return &ndjsonReader{sc: sc, buf: buf}
+}
+
+// release returns the pooled buffer; the reader is unusable afterwards.
+// A scanner that grew past the pooled buffer for a long line holds its
+// own grown copy, which is left to the collector; only the original
+// array goes back.
+func (r *ndjsonReader) release() {
+	if r.buf != nil {
+		ndjsonBufs.Put(r.buf)
+		r.buf, r.sc = nil, nil
+	}
 }
 
 // Next implements trace.Reader.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -190,17 +191,69 @@ func TestNDJSONFastParseCases(t *testing.T) {
 	}
 }
 
+// canonicalBody renders n canonical NDJSON lines, the shape krrbench
+// and production mirrors send.
+func canonicalBody(n int) string {
+	var sb strings.Builder
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "{\"key\": %d, \"size\": %d, \"op\": \"get\"}\n", rng.IntN(100000), rng.IntN(4096)+1)
+	}
+	return sb.String()
+}
+
+// TestNDJSONReleaseAllocFree pins the recycled scanner buffer: once
+// warm, draining and releasing a 10,000-line canonical body allocates
+// only the reader's small headers, not a 64 KiB buffer per body.
+func TestNDJSONReleaseAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const lines = 10000
+	body := canonicalBody(lines)
+	src := strings.NewReader(body)
+	run := func() {
+		src.Reset(body)
+		r := newNDJSONReader(src)
+		n := 0
+		for {
+			_, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		r.release()
+		if n != lines {
+			t.Fatalf("decoded %d lines, want %d", n, lines)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per %d-line body", per, lines)
+	if per >= 4<<10 {
+		t.Fatalf("%d bytes allocated per %d-line body, want < %d", per, lines, 4<<10)
+	}
+}
+
 // BenchmarkNDJSONDecode is the satellite's before/after: the legacy
 // json.Decoder path versus the fast line parser on identical canonical
 // bodies. Allocations per request are the headline number.
 func BenchmarkNDJSONDecode(b *testing.B) {
-	var sb strings.Builder
-	rng := rand.New(rand.NewPCG(3, 4))
 	const lines = 10000
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&sb, "{\"key\": %d, \"size\": %d, \"op\": \"get\"}\n", rng.IntN(100000), rng.IntN(4096)+1)
-	}
-	body := sb.String()
+	body := canonicalBody(lines)
 	for _, bench := range []struct {
 		name string
 		mk   func() trace.Reader
@@ -225,6 +278,9 @@ func BenchmarkNDJSONDecode(b *testing.B) {
 						}
 						b.Fatal(err)
 					}
+				}
+				if nr, ok := r.(*ndjsonReader); ok {
+					nr.release()
 				}
 				if n != lines {
 					b.Fatalf("decoded %d, want %d", n, lines)

@@ -46,15 +46,28 @@ type Config struct {
 	QueueDepth int
 }
 
+// connReadBuf and connWriteBuf size each connection's read buffer and
+// ack buffer.
+const (
+	connReadBuf  = 1 << 18
+	connWriteBuf = 1 << 12
+)
+
 // Server terminates wire-protocol connections: per connection, a
 // reader goroutine decodes frames into pooled batches and a worker
 // goroutine feeds them to the sink, with a bounded queue between the
 // two. The reader never blocks on a slow sink — it sheds load frame by
 // frame once the queue is full — so per-connection memory is capped at
-// QueueDepth × frame size no matter how far the sink falls behind.
+// QueueDepth × frame size plus the 256 KiB read buffer and the 4 KiB
+// ack buffer (1.25 MiB at the default 16 × 64 KiB frames), no matter
+// how far the sink falls behind. Batches, read buffers and ack buffers
+// are all recycled across connections, so a steady stream of short
+// connections allocates none of them.
 type Server struct {
-	cfg  Config
-	pool BatchPool
+	cfg     Config
+	pool    BatchPool
+	readers sync.Pool // *bufio.Reader, connReadBuf bytes
+	writers sync.Pool // *bufio.Writer, connWriteBuf bytes
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -84,8 +97,10 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
 	return &Server{
-		cfg:   cfg,
-		conns: make(map[net.Conn]struct{}),
+		cfg:     cfg,
+		readers: sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connReadBuf) }},
+		writers: sync.Pool{New: func() any { return bufio.NewWriterSize(nil, connWriteBuf) }},
+		conns:   make(map[net.Conn]struct{}),
 		// 1µs .. ~1s exponential ladder: frame-granularity sink latency.
 		latency: telemetry.NewHistogram(telemetry.ExpBuckets(1e-6, 2, 21)),
 	}, nil
@@ -163,13 +178,23 @@ func (s *Server) forget(conn net.Conn) {
 // reader owns the ack writer (single writer, acks stay in frame
 // order); the worker owns sink calls and batch recycling. Acks are
 // admission acks, so a sink failure is reported after the drain as one
-// trailing StatusBad.
+// trailing StatusBad. Its read and ack buffers come from the server's
+// pools and go back, detached from conn, once the last status byte is
+// flushed.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.forget(conn)
 	defer conn.Close()
 
-	br := bufio.NewReaderSize(conn, 1<<18)
-	bw := bufio.NewWriterSize(conn, 1<<12)
+	br := s.readers.Get().(*bufio.Reader)
+	bw := s.writers.Get().(*bufio.Writer)
+	br.Reset(conn)
+	bw.Reset(conn)
+	defer func() {
+		br.Reset(nil)
+		bw.Reset(nil)
+		s.readers.Put(br)
+		s.writers.Put(bw)
+	}()
 	tenant, err := ReadHeader(br)
 	if err != nil {
 		s.badFrames.Inc()

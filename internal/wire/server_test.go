@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -520,6 +522,150 @@ func TestServerMetricsInto(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// shortConn runs one short connection from pre-encoded bytes — header
+// and frames in msg — then half-closes, checks the acks and waits for
+// the server to close its side, which it does only after returning the
+// connection's buffers to its pools. acks is the caller's, so the client
+// side allocates no buffer per connection.
+func shortConn(t *testing.T, addr string, msg []byte, acks []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(conn, acks); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range acks {
+		if a != StatusOK {
+			t.Fatalf("ack %d = %#x, want StatusOK", i, a)
+		}
+	}
+	if n, err := conn.Read(acks[:1]); n != 0 || err != io.EOF {
+		t.Fatalf("after the acks: read %d bytes, err %v; want io.EOF", n, err)
+	}
+}
+
+// TestServerShortConnAllocs pins the recycled connection buffers: once
+// warm, short connections (header, one frame, close) allocate far less
+// than one 256 KiB read buffer each. The client writes raw pre-encoded
+// bytes, since Client allocates its own writer per dial, so the
+// process-wide figure bounds the server's.
+func TestServerShortConnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	_, addr := startServer(t, Config{Sink: SinkFunc(func(string, []trace.Request) error { return nil })})
+	var hdr bytes.Buffer
+	if err := WriteHeader(&hdr, "short"); err != nil {
+		t.Fatal(err)
+	}
+	msg := AppendFrame(hdr.Bytes(), testReqs(32))
+	acks := make([]byte, 1)
+	for i := 0; i < 20; i++ {
+		shortConn(t, addr, msg, acks)
+	}
+
+	const conns = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < conns; i++ {
+		shortConn(t, addr, msg, acks)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / conns
+	t.Logf("%d bytes allocated per short connection", per)
+	if per >= 32<<10 {
+		t.Fatalf("%d bytes allocated per short connection, want < %d", per, 32<<10)
+	}
+}
+
+// TestServerRecycledReaderStartsClean pins that a recycled read buffer
+// carries nothing over: connection A sends a header and 1.5 frames and
+// closes; connection B, served on A's recycled reader, ingests exactly
+// its own frames, and only A's torn frame counts as bad.
+func TestServerRecycledReaderStartsClean(t *testing.T) {
+	// One P, so B's pool Get returns the reader A's connection put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sink := &collectSink{}
+	srv, addr := startServer(t, Config{Sink: sink})
+	set := telemetry.NewSet()
+	srv.MetricsInto(set, "wire_")
+
+	a, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := WriteHeader(a, "A"); err != nil {
+		t.Fatal(err)
+	}
+	frame := AppendFrame(nil, testReqs(100))
+	if _, err := a.Write(append(append([]byte(nil), frame...), frame[:len(frame)/2]...)); err != nil {
+		t.Fatal(err)
+	}
+	ack := make([]byte, 1)
+	a.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(a, ack); err != nil || ack[0] != StatusOK {
+		t.Fatalf("A's first ack %#x, err %v; want StatusOK", ack[0], err)
+	}
+	a.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.active.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("wire_connections_active stuck at %d", srv.active.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	b, err := Dial(addr, "B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testReqs(300)
+	for off := 0; off < len(want); off += 100 {
+		if err := b.SendBatch(want[off : off+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	sink.mu.Lock()
+	gotA, gotB := len(sink.got["A"]), sink.got["B"]
+	sink.mu.Unlock()
+	if gotA != 100 {
+		t.Fatalf("A ingested %d requests, want 100", gotA)
+	}
+	if len(gotB) != len(want) {
+		t.Fatalf("B ingested %d requests, want %d", len(gotB), len(want))
+	}
+	for i := range want {
+		if gotB[i] != want[i] {
+			t.Fatalf("B request %d = %+v, want %+v", i, gotB[i], want[i])
+		}
+	}
+	var sb strings.Builder
+	if err := set.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"wire_bad_frames_total 1\n", "wire_frames_total 4\n"} {
+		if !strings.Contains(sb.String(), line) {
+			t.Fatalf("metrics missing %q:\n%s", line, sb.String())
 		}
 	}
 }

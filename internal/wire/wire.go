@@ -32,10 +32,13 @@
 // queue, StatusOverloaded when the queue was full and the frame was
 // dropped (read and discarded, counted, never buffered), StatusBad
 // before closing on a malformed frame. Load shedding is therefore
-// explicit and deterministic: memory per connection is capped by the
-// queue depth, drops are visible to both sides, and a client that
-// wants lossless delivery throttles on the OK ack stream instead of
-// relying on unbounded server buffering.
+// explicit and deterministic: memory per connection is capped at the
+// queue depth × frame size plus a 256 KiB read buffer and a 4 KiB ack
+// buffer (1.25 MiB at the default 16 × 64 KiB frames), drops are
+// visible to both sides, and a client that wants lossless delivery
+// throttles on the OK ack stream instead of relying on unbounded
+// server buffering. The server recycles batches, read buffers and ack
+// buffers across connections.
 //
 // StatusOK admits a frame; it is ingested later. If the sink fails,
 // the server discards the frames still queued and, after draining,

@@ -73,8 +73,9 @@ go test -count=1 -run TestIngestSmoke ./cmd/krrserve/
 echo "== ingest failure injection (-race: stalled HTTP body, sink failure in drain, disconnect mid-frame, slow tenant, eviction with frames queued)"
 go test -race -count=1 -run 'TestFailure|TestServerSinkError' ./internal/wire/ ./cmd/krrserve/
 
-echo "== wire hot-path alloc guard (decode must stay allocation-free)"
-go test -count=1 -run TestDecodeHotPathAllocFree ./internal/wire/
+echo "== ingest alloc guards (wire decode allocation-free; wire connection and NDJSON body buffers recycled)"
+go test -count=1 -run 'TestDecodeHotPathAllocFree|TestServerShortConnAllocs' ./internal/wire/
+go test -count=1 -run 'TestNDJSONReleaseAllocFree' ./cmd/krrserve/
 
 echo "== curve read path (alloc guards; walker, JSON writer, waterfill and responses pinned to references)"
 go test -count=1 -run 'TestTenantMissRatioReadAllocFree|TestFullCurveWriteAllocGuard|TestWaterfillMatchesReference|TestWaterfillLinearCurvesMatchReference|TestTenantReadMatchesModelSnapshot' ./internal/fleet/
