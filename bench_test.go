@@ -12,9 +12,7 @@ import (
 
 	"krr/internal/core"
 	"krr/internal/model"
-	"krr/internal/olken"
 	"krr/internal/redislike"
-	"krr/internal/shards"
 	"krr/internal/simulator"
 	"krr/internal/trace"
 	"krr/internal/workload"
@@ -84,8 +82,7 @@ func BenchmarkFig1_1_KLRUSimulation(b *testing.B) {
 
 func BenchmarkFig5_2_ExactLRUStack(b *testing.B) {
 	tr := benchTrace(b, "msr-web", 1<<17, false)
-	prof := olken.NewProfiler(1)
-	replay(b, tr, prof.Process)
+	replayModel(b, tr, newModel(b, "olken", model.Options{Seed: 1}))
 }
 
 // --- Table 5.1 / Fig 5.1: the KRR modeling pipeline ------------------
@@ -241,8 +238,7 @@ func BenchmarkTable5_4_BackwardSpatial(b *testing.B) {
 
 func BenchmarkTable5_4_SHARDS(b *testing.B) {
 	tr := masterTrace(b)
-	s := shards.NewFixedRate(0.01, 1, false)
-	replay(b, tr, s.Process)
+	replayModel(b, tr, newModel(b, "shards", model.Options{Seed: 1, SamplingRate: 0.01}))
 }
 
 // --- Fig 5.5: redislike engine throughput ----------------------------

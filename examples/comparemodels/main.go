@@ -11,9 +11,6 @@ import (
 	"log"
 
 	"krr"
-	"krr/internal/aet"
-	"krr/internal/olken"
-	"krr/internal/shards"
 	"krr/internal/trace"
 )
 
@@ -40,17 +37,18 @@ func main() {
 	}
 
 	// LRU-only techniques.
-	ol := olken.NewProfiler(1)
-	ol.ProcessAll(tr.Reader())
-	exactLRU := ol.ObjectMRC(1)
-
-	sh := shards.NewFixedRate(0.1, 2, true)
-	sh.ProcessAll(tr.Reader())
-	shardsCurve := sh.MRC()
-
-	am := aet.New(0)
-	am.ProcessAll(tr.Reader())
-	aetCurve := am.MRC()
+	exactLRU, err := krr.BuildMRCWith("olken", tr.Reader(), krr.ModelOptions{Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	shardsCurve, err := krr.BuildMRCWith("shards", tr.Reader(), krr.ModelOptions{Seed: 2, SamplingRate: 0.1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	aetCurve, err := krr.BuildMRCWith("aet", tr.Reader(), krr.ModelOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cs := krr.NewCounterStack(krr.CounterStackConfig{DownsampleInterval: 1000})
 	for _, req := range tr.Reqs {

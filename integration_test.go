@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"krr"
 	"krr/internal/aet"
 	"krr/internal/counterstacks"
 	"krr/internal/mimir"
 	"krr/internal/model"
 	"krr/internal/mrc"
-	"krr/internal/olken"
 	"krr/internal/shards"
 	"krr/internal/trace"
 	"krr/internal/workload"
@@ -28,11 +28,10 @@ func TestAllLRUModelsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exactProf := olken.NewProfiler(1)
-	if err := exactProf.ProcessAll(tr.Reader()); err != nil {
+	exact, err := krr.BuildMRCWith("olken", tr.Reader(), model.Options{Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	exact := exactProf.ObjectMRC(1)
 	sizes := mrc.EvenSizes(15000, 20)
 
 	models := []struct {
@@ -41,11 +40,7 @@ func TestAllLRUModelsAgree(t *testing.T) {
 		build     func() (*mrc.Curve, error)
 	}{
 		{"shards-fixed-rate", 0.03, func() (*mrc.Curve, error) {
-			s := shards.NewFixedRate(0.3, 2, true)
-			if err := s.ProcessAll(tr.Reader()); err != nil {
-				return nil, err
-			}
-			return s.MRC(), nil
+			return krr.BuildMRCWith("shards", tr.Reader(), model.Options{Seed: 2, SamplingRate: 0.3})
 		}},
 		{"shards-fixed-size", 0.05, func() (*mrc.Curve, error) {
 			s := shards.NewFixedSize(1.0, 4096, 3)
@@ -84,14 +79,7 @@ func TestAllLRUModelsAgree(t *testing.T) {
 		}},
 		{"krr-huge-k", 0.03, func() (*mrc.Curve, error) {
 			// KRR converges to the LRU stack as K grows (§4.1).
-			m, err := model.New("krr", model.Options{K: 64, Seed: 5})
-			if err != nil {
-				return nil, err
-			}
-			if err := model.ProcessAll(m, tr.Reader()); err != nil {
-				return nil, err
-			}
-			return m.ObjectMRC(), nil
+			return krr.BuildMRCWith("krr", tr.Reader(), model.Options{K: 64, Seed: 5})
 		}},
 	}
 	for _, m := range models {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"krr/internal/mrc"
-	"krr/internal/olken"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
@@ -24,46 +23,6 @@ func TestLoopTraceExact(t *testing.T) {
 	}
 	if got := c.Eval(m + 1); got > 0.1 {
 		t.Fatalf("miss(M) = %v, want ~cold ratio", got)
-	}
-}
-
-func TestMatchesExactLRUOnZipf(t *testing.T) {
-	g := workload.NewZipf(3, 20000, 0.9, nil, 0)
-	tr, _ := trace.Collect(g, 300000)
-
-	mon := New(0)
-	if err := mon.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	model := mon.MRC()
-
-	exact := olken.NewProfiler(1)
-	if err := exact.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	truth := exact.ObjectMRC(1)
-
-	sizes := mrc.EvenSizes(20000, 25)
-	if mae := mrc.MAE(model, truth, sizes); mae > 0.03 {
-		t.Fatalf("AET vs exact LRU MAE %v", mae)
-	}
-}
-
-func TestMatchesExactLRUOnMSRLike(t *testing.T) {
-	g := workload.NewMSRLike(5, workload.MSRParams{
-		Blocks: 8000, HotWeight: 0.5, SeqWeight: 0.3, LoopWeight: 0.2,
-		LoopLen: 2000, LoopRepeats: 2,
-	})
-	tr, _ := trace.Collect(g, 200000)
-
-	mon := New(0)
-	mon.ProcessAll(tr.Reader())
-	exact := olken.NewProfiler(1)
-	exact.ProcessAll(tr.Reader())
-
-	sizes := mrc.EvenSizes(8000, 20)
-	if mae := mrc.MAE(mon.MRC(), exact.ObjectMRC(1), sizes); mae > 0.05 {
-		t.Fatalf("AET vs exact LRU on mixed trace MAE %v", mae)
 	}
 }
 

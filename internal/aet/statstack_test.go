@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"krr/internal/mrc"
-	"krr/internal/olken"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
@@ -20,23 +19,6 @@ func TestStatStackLoopExact(t *testing.T) {
 	}
 	if c.Eval(m+2) > 0.1 {
 		t.Fatalf("miss(M) = %v, want ~cold", c.Eval(m+2))
-	}
-}
-
-func TestStatStackMatchesExactLRU(t *testing.T) {
-	g := workload.NewZipf(11, 20000, 0.9, nil, 0)
-	tr, _ := trace.Collect(g, 300000)
-	mon := New(0)
-	mon.ProcessAll(tr.Reader())
-	model := mon.StatStackMRC()
-
-	exact := olken.NewProfiler(1)
-	exact.ProcessAll(tr.Reader())
-	truth := exact.ObjectMRC(1)
-
-	sizes := mrc.EvenSizes(20000, 25)
-	if mae := mrc.MAE(model, truth, sizes); mae > 0.03 {
-		t.Fatalf("StatStack vs exact LRU MAE %v", mae)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"krr/internal/hashing"
+	"krr/internal/hll"
 	"krr/internal/trace"
 )
 
@@ -43,11 +45,11 @@ func TestTopKChurnDistrusted(t *testing.T) {
 }
 
 func TestHLLEstimate(t *testing.T) {
-	h := newHLL()
+	h := hll.New(hllPrecision)
 	const n = 10_000
 	for i := uint64(0); i < n; i++ {
-		h.Add(i)
-		h.Add(i) // duplicates must not inflate the estimate
+		h.Add(hashing.Mix64(i))
+		h.Add(hashing.Mix64(i)) // duplicates must not inflate the estimate
 	}
 	est := h.Estimate()
 	if math.Abs(est-n) > 0.05*n {

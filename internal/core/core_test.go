@@ -157,6 +157,22 @@ func TestHugeKBehavesLikeLRU(t *testing.T) {
 	}
 }
 
+func TestKRRK1IsRandomReplacement(t *testing.T) {
+	// At K′ = 1 the stack is Mattson's RR stack, which evicts
+	// uniformly: each resident of a size-C cache leaves with
+	// probability 1/C. On a uniform workload over M objects the miss
+	// ratio at size C therefore approaches 1 - C/M.
+	const m, c = 400, 100
+	tr, _ := trace.Collect(workload.NewUniform(3, m, nil), 150000)
+	want := 1 - float64(c)/float64(m)
+	for _, method := range []UpdateMethod{Backward, TopDown, Linear} {
+		got := replayCurve(NewStack(KPrimeFor(1), 5, WithMethod(method)), tr).Eval(c)
+		if math.Abs(got-want) > 0.03 {
+			t.Fatalf("%v: RR uniform miss at C=%d: %v, want ~%v", method, c, got, want)
+		}
+	}
+}
+
 func TestPositionMapStaysPermutation(t *testing.T) {
 	err := quick.Check(func(ops []uint16, method uint8) bool {
 		s := NewStack(2.7, 5, WithMethod(UpdateMethod(method%3)))

@@ -1,3 +1,10 @@
+// Package counterstacks implements a compact Counter Stacks model
+// (Wires et al., OSDI '14), the third exact-LRU MRC baseline from the
+// paper's related work (§6.1): the LRU stack distance of a reference
+// is the number of distinct keys seen since its previous occurrence,
+// so a set of probabilistic cardinality counters started at staggered
+// times recovers the whole stack-distance distribution from counter
+// increments alone — no stack, no per-object metadata.
 package counterstacks
 
 import (
@@ -6,6 +13,7 @@ import (
 
 	"krr/internal/hashing"
 	"krr/internal/histogram"
+	"krr/internal/hll"
 	"krr/internal/mrc"
 	"krr/internal/trace"
 )
@@ -32,11 +40,20 @@ func (c *Config) fill() {
 	}
 }
 
+// hllPrecision gives each counter 2^14 registers, ~0.8% standard
+// error. Counter Stacks subtracts estimates taken one batch apart, so
+// the counters' absolute noise must stay small relative to the
+// per-batch increment; the extra registers (16 KiB/counter) buy that
+// headroom.
+const hllPrecision = 14
+
 // counter is one staggered cardinality counter.
 type counter struct {
-	sketch    hll
+	sketch    *hll.Sketch
 	lastCount float64 // estimate at the previous batch boundary
 }
+
+func newCounter() *counter { return &counter{sketch: hll.New(hllPrecision)} }
 
 // Stack is the Counter Stacks model.
 type Stack struct {
@@ -51,7 +68,7 @@ type Stack struct {
 func New(cfg Config) *Stack {
 	cfg.fill()
 	s := &Stack{cfg: cfg, hist: histogram.NewLog()}
-	s.counters = append(s.counters, &counter{}) // the permanent oldest counter
+	s.counters = append(s.counters, newCounter()) // the permanent oldest counter
 	return s
 }
 
@@ -65,7 +82,7 @@ func (s *Stack) Process(req trace.Request) {
 	s.seen++
 	h := hashing.Mix64(req.Key)
 	for _, c := range s.counters {
-		c.sketch.add(h)
+		c.sketch.Add(h)
 	}
 	s.pending++
 	if s.pending >= s.cfg.DownsampleInterval {
@@ -80,7 +97,7 @@ func (s *Stack) finishBatch() {
 	deltas := make([]float64, n)
 	batch := float64(s.pending)
 	for i, c := range s.counters {
-		counts[i] = c.sketch.estimate()
+		counts[i] = c.sketch.Estimate()
 		deltas[i] = counts[i] - c.lastCount
 		// Clamp HLL noise into the feasible range.
 		if deltas[i] < 0 {
@@ -133,7 +150,7 @@ func (s *Stack) finishBatch() {
 	for i, c := range s.counters {
 		c.lastCount = counts[i]
 	}
-	s.counters = append(s.counters, &counter{})
+	s.counters = append(s.counters, newCounter())
 	s.pending = 0
 	s.pruneIfNeeded()
 }
@@ -194,7 +211,7 @@ func (s *Stack) Seen() uint64 { return s.seen }
 // MemoryOverheadBytes estimates the model's resident metadata: the HLL
 // register arrays (the dominant term) plus the histogram.
 func (s *Stack) MemoryOverheadBytes() uint64 {
-	const perCounter = hllRegisters + 16 // registers + lastCount + pointer
+	const perCounter = 1<<hllPrecision + 16 // registers + lastCount + pointer
 	return uint64(len(s.counters))*perCounter + s.hist.MemBytes()
 }
 
@@ -221,8 +238,7 @@ func (s *Stack) SnapshotHist() *histogram.Log {
 		seen:     s.seen,
 	}
 	for i, c := range s.counters {
-		cc := *c // hll registers are a value array: this is a deep copy
-		clone.counters[i] = &cc
+		clone.counters[i] = &counter{sketch: c.sketch.Clone(), lastCount: c.lastCount}
 	}
 	clone.finishBatch()
 	return clone.hist

@@ -10,7 +10,6 @@ import (
 	"krr/internal/core"
 	"krr/internal/model"
 	"krr/internal/mrc"
-	"krr/internal/shards"
 	"krr/internal/simulator"
 	"krr/internal/stats"
 	"krr/internal/trace"
@@ -271,7 +270,7 @@ func runTable54(opt Options) (*Result, error) {
 		Columns: []string{"method", "mean wall time"},
 	}
 	var tdTotal, bwTotal time.Duration
-	streamKRR := func(name string, k int) (time.Duration, error) {
+	streamModel := func(name string, k int) (time.Duration, error) {
 		m, err := model.New(name, model.Options{K: k, Seed: opt.Seed, SamplingRate: rate})
 		if err != nil {
 			return 0, err
@@ -279,12 +278,12 @@ func runTable54(opt Options) (*Result, error) {
 		return stream(func(req trace.Request) { _ = m.Process(req) }) // never finalized: cannot fail
 	}
 	for _, k := range opt.Ks {
-		td, err := streamKRR("krr-topdown", k)
+		td, err := streamModel("krr-topdown", k)
 		if err != nil {
 			return nil, err
 		}
 		tdTotal += td
-		bw, err := streamKRR("krr", k)
+		bw, err := streamModel("krr", k)
 		if err != nil {
 			return nil, err
 		}
@@ -293,8 +292,7 @@ func runTable54(opt Options) (*Result, error) {
 	tdMean := tdTotal / time.Duration(len(opt.Ks))
 	bwMean := bwTotal / time.Duration(len(opt.Ks))
 
-	sh := shards.NewFixedRate(rate, opt.Seed, false)
-	shTime, err := stream(sh.Process)
+	shTime, err := streamModel("shards", 0)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package mimir
 import (
 	"testing"
 
-	"krr/internal/mrc"
-	"krr/internal/olken"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
@@ -43,26 +41,6 @@ func TestBucketBudgetRespected(t *testing.T) {
 	}
 	if sum != uint64(s.Len()) {
 		t.Fatalf("bucket counts %d != tracked %d", sum, s.Len())
-	}
-}
-
-func TestMatchesExactLRUOnZipf(t *testing.T) {
-	g := workload.NewZipf(3, 20000, 0.8, nil, 0)
-	tr, _ := trace.Collect(g, 300000)
-
-	s := New(DefaultBuckets)
-	if err := s.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	model := s.MRC()
-
-	exact := olken.NewProfiler(1)
-	exact.ProcessAll(tr.Reader())
-	truth := exact.ObjectMRC(1)
-
-	sizes := mrc.EvenSizes(20000, 25)
-	if mae := mrc.MAE(model, truth, sizes); mae > 0.03 {
-		t.Fatalf("MIMIR vs exact LRU MAE %v", mae)
 	}
 }
 

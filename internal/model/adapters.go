@@ -31,7 +31,7 @@ type streamModel struct {
 	// rescaled by 1/rate.
 	filter *sampling.Filter
 	// admit, when non-nil, mirrors an internal filter's admission
-	// decision purely for the Sampled counter (aet, shards).
+	// decision purely for the Sampled counter (aet, shards-fixedsize).
 	admit   func(key uint64) bool
 	process func(trace.Request)
 	flush   func() // optional; runs once at finalization
@@ -321,20 +321,57 @@ func newKRRBucket(o Options) (Model, error) {
 // --- Olken exact-LRU stack -------------------------------------------
 
 func newOlken(o Options) (Model, error) {
-	filter, scale := extFilter(o)
-	p := olken.NewProfiler(o.Seed)
-	m := &streamModel{
-		filter:    filter,
-		process:   p.Process,
-		objDense:  p.ObjHist(),
-		objScale:  scale,
-		footprint: p.MemoryOverheadBytes,
-	}
-	if o.Bytes != BytesOff {
-		m.byteCurve = func() *mrc.Curve { return p.ByteMRC(scale) }
-		m.byteLog = p.ByteHist()
-	}
+	m, obj, scale := newOlkenStream(o)
+	m.objDense, m.objScale = obj, scale
 	return m, nil
+}
+
+// newOlkenStream builds the exact-LRU stream shared by olken and
+// shards: the stack behind the adapter's filter, its object histogram
+// and, with a byte mode, a byte histogram. The caller attaches the
+// object curve: olken exposes the histogram as it is, shards applies
+// SHARDS_adj to a copy.
+func newOlkenStream(o Options) (*streamModel, *histogram.Dense, float64) {
+	filter, scale := extFilter(o)
+	st := olken.New(o.Seed)
+	obj := histogram.NewDense(1024)
+	var byt *histogram.Log
+	if o.Bytes != BytesOff {
+		byt = histogram.NewLog()
+	}
+	m := &streamModel{
+		filter: filter,
+		process: func(req trace.Request) {
+			if req.Op == trace.OpDelete {
+				st.Delete(req.Key)
+				return
+			}
+			res := st.Reference(req.Key, req.Size)
+			if res.Cold {
+				obj.AddCold()
+				if byt != nil {
+					byt.AddCold()
+				}
+				return
+			}
+			obj.Add(res.Distance)
+			if byt != nil {
+				byt.Add(res.ByteDistance)
+			}
+		},
+		byteLog: byt,
+	}
+	m.footprint = func() uint64 {
+		fp := st.MemoryOverheadBytes() + obj.MemBytes()
+		if byt != nil {
+			fp += byt.MemBytes()
+		}
+		return fp
+	}
+	if byt != nil {
+		m.byteCurve = func() *mrc.Curve { return mrc.FromHistogram(byt, scale) }
+	}
+	return m, obj, scale
 }
 
 // --- SHARDS ----------------------------------------------------------
@@ -349,18 +386,30 @@ func shardsRate(o Options) float64 {
 	return o.SamplingRate
 }
 
-func newShardsFixedRate(o Options) (Model, error) {
-	rate := shardsRate(o)
-	s := shards.NewFixedRate(rate, o.Seed, true)
-	admit := sampling.NewRate(rate)
-	m := &streamModel{
-		admit:     admit.Sampled,
-		process:   s.Process,
-		objCurve:  s.MRC,
-		footprint: s.MemoryOverheadBytes,
+// newShards is fixed-rate SHARDS: the olken stream at shardsRate, with
+// the SHARDS_adj correction (Waldspurger et al., FAST '15). The
+// sampled stream should hold round(Seen·R) requests; a shortfall means
+// short-distance references went unsampled, so it is credited to
+// distance 1. Seen and Sampled both count deletes, so the shortfall is
+// sampling deviation alone (the histogram total has no deletes, and
+// measured against it every sampled delete would count as a hit). The
+// credit goes on a copy of the histogram, so repeated reads — mid-stream
+// snapshots included — never compound it into the live counts.
+func newShards(o Options) (Model, error) {
+	o.SamplingRate = shardsRate(o)
+	m, obj, scale := newOlkenStream(o)
+	rate := 1.0
+	if m.filter != nil {
+		rate = m.filter.Rate()
 	}
-	if o.Bytes != BytesOff {
-		m.byteCurve = s.ByteMRC
+	m.objCurve = func() *mrc.Curve {
+		expected := uint64(float64(m.seen.Load())*rate + 0.5)
+		if sampled := m.sampled.Load(); expected > sampled {
+			adjusted := obj.Clone()
+			adjusted.AddN(1, expected-sampled)
+			return mrc.FromHistogram(adjusted, scale)
+		}
+		return mrc.FromHistogram(obj, scale)
 	}
 	return m, nil
 }
@@ -558,7 +607,7 @@ func init() {
 		Complexity: "O(log R·M) per sampled ref",
 		Space:      "O(R·M) tree",
 		Caps:       CapBytes | CapDeletes,
-		New:        newShardsFixedRate,
+		New:        newShards,
 	})
 	Register(Info{
 		Name:       "shards-fixedsize",

@@ -56,16 +56,22 @@ func curveDigest(c *mrc.Curve) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// krrDigests were recorded with the former core.Profiler,
-// core.BucketProfiler and core.ShardedProfiler wrappers (Workers 2 is
-// the sharded one) on oracleTrace. The krr adapters now drive the
-// stacks themselves; their curves and counters must not move by a bit.
-var krrDigests = []struct {
+// digestCase is one model configuration's recorded curves and stream
+// counters.
+type digestCase struct {
 	name          string
 	opts          Options
 	seen, sampled uint64
 	object, bytes string
-}{
+}
+
+// krrDigests were recorded on oracleTrace with the former
+// core.Profiler, core.BucketProfiler and core.ShardedProfiler wrappers
+// (Workers 2 is the sharded one) for the krr models, and with the
+// former olken.Profiler adapter for olken, and with counterstacks, che
+// and fagin as they were then. Every adapter now drives its kernel
+// itself; the curves and counters must not move by a bit.
+var krrDigests = []digestCase{
 	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "f1e1355c99882456257fe838be22afa0781ae647cd4d52eb2fec2cb0277c3ea4", ""},
 	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 2}, 12000, 12000, "00f6bb3a54349486bcfb1d283fd9d0d85ef3295a316a37bea1e96d96df110abf", ""},
 	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "8abbf062f91b8455291959dab891782fa065cfcf3b0a11138db6fb662d08c145", ""},
@@ -120,11 +126,59 @@ var krrDigests = []struct {
 	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 1, SamplingRate: 0.1}, 12000, 1124, "58637b7ba5c4bbb3157706cad17be6a71167566cd19aa2a171ce16288f10cb2c", ""},
 	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 4, SamplingRate: 0}, 12000, 12000, "0e92f4d53305db9b1c6fab48c96dc1bb51f56dc502707bfd23599794d1f2aa08", ""},
 	{"krr-bucket", Options{K: 5, Seed: 3, BucketRatio: 4, SamplingRate: 0.1}, 12000, 1124, "d7d841d8896b5939d882128a1d28671c95ab34d6ef767cacdc74b8b0a2b5a343", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "4d1b8829df9eca032bb7269201d8f7d267f78396c6f2c32afb02c21cb306cd18", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 2}, 12000, 12000, "1efd3d031d23dd2b464f79ce2b22fe67765399277352917add02cb9031d6d5ec", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0, Workers: 0}, 12000, 12000, "4d1b8829df9eca032bb7269201d8f7d267f78396c6f2c32afb02c21cb306cd18", "bb825c118488e8cab381dce1b863cc886bb6a396108c2df2fea168f050b4e4ff"},
+	{"olken", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0, Workers: 2}, 12000, 12000, "1efd3d031d23dd2b464f79ce2b22fe67765399277352917add02cb9031d6d5ec", "67524952f270489305381ee9e7078095cc90239ce1364d2de5aff4d3bf62dba7"},
+	{"olken", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "d36b7c297b74f07a15d67b8e882ee49cd657b50a2fb2389be755d1115616d554", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "e812f0e8481743d1744a6aced60f058b6776aafc76bb592c11ddbe709d9acef2", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "d36b7c297b74f07a15d67b8e882ee49cd657b50a2fb2389be755d1115616d554", "8b574263d4f8e5cec09b8fe3d425674edc3edd923978b0bef53f09b2a9b3506c"},
+	{"olken", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0.1, Workers: 2}, 12000, 1124, "e812f0e8481743d1744a6aced60f058b6776aafc76bb592c11ddbe709d9acef2", "d5c9779623cf59636bba060f6557eb22c5aab8369f0f26e41212e216a4164483"},
+	{"olken", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "688493186dff4bb06421c83289b10ed9633dbe72cb9d5ac685ddf0c2d5dbfc28", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 2}, 12000, 3502, "385a76728dace6584f5caf024f1c69e73115bfdaef7f709b1496852c70ebd278", ""},
+	{"olken", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "688493186dff4bb06421c83289b10ed9633dbe72cb9d5ac685ddf0c2d5dbfc28", "8a2a4ded1ed81e15ee35405b691bc099d0fbc808cbd80c0400b025357ede1d8d"},
+	{"olken", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0.3, Workers: 2}, 12000, 3502, "385a76728dace6584f5caf024f1c69e73115bfdaef7f709b1496852c70ebd278", "5220f57da4e8b1f8d2272799d60700ffabca89f16b1f5bdf1b7aa1877d2d1aac"},
+	{"counterstacks", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "c18e929127178f7e370c8c25a5d1fde16dbae4fe609a8b83e4f2e5fcd3d86303", ""},
+	{"counterstacks", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "d43f28e84f90d9398d045eae44de5a99cb86549cfce996773bc15c86f3d9f416", ""},
+	{"che", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "136b8912f2b55e8aa52063fdc31ab43ec9dc29371dd4c2f21ceb5eef12f67d1b", ""},
+	{"che", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "6346696fd8a959c418a29183f5eca4a12664783803e32f3941e2e5e3f912a7e2", ""},
+	{"fagin", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "1ddd246d47e0583b1df8e4bcef8216aa6dc8bcc7be0e9abf8cba741a985ce8e0", ""},
+	{"fagin", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "2088fbf4e500d75a853958281c7588823fdd0b8659e3fde947a34e2acf385b07", ""},
+}
+
+// shardsDigests were recorded with the former shards.FixedRate model
+// on oracleTrace with its deletes turned back into reads: shards is
+// olken behind the adapter's filter plus SHARDS_adj on a histogram
+// copy, and on a delete-free stream that correction is unchanged.
+var shardsDigests = []digestCase{
+	{"shards", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 21, "143aa42f760082cf3791e313a5b5976c2b2838ea04e4f9e13b575ad2d5302c67", ""},
+	{"shards", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0, Workers: 0}, 12000, 21, "143aa42f760082cf3791e313a5b5976c2b2838ea04e4f9e13b575ad2d5302c67", "9d5e652023abef8233729171eda95a0be470222163c377165d98101b8390e209"},
+	{"shards", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "a20228e8ddf4f4a1d27bd015a9feac5543e4e27f10e03b1930fe2437f22660cd", ""},
+	{"shards", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "a20228e8ddf4f4a1d27bd015a9feac5543e4e27f10e03b1930fe2437f22660cd", "508e84f09582aef14b7ec7d24b45ba22dcdaabace3555a32eaa20560acbc1977"},
+	{"shards", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "a8cdef09111082298f68030cd33eed7b1f7e06d6ad50d14a47daa5733c2be523", ""},
+	{"shards", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "a8cdef09111082298f68030cd33eed7b1f7e06d6ad50d14a47daa5733c2be523", "6fa2bab86f2517edcdf4f1e7bcaeb8a2c4e22c09f061eb81d0c08ff22c6db441"},
+	{"shards", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 1, Workers: 0}, 12000, 12000, "4a763151c682ac1c3478fbc8cc37f074ef680deefdfc76dda232240dcc36e271", ""},
+	{"shards", Options{Seed: 3, Bytes: BytesOn, SamplingRate: 1, Workers: 0}, 12000, 12000, "4a763151c682ac1c3478fbc8cc37f074ef680deefdfc76dda232240dcc36e271", "d673e90a4c83b25dc8b40e35cc5e1c83d070a57d71b452f1d020053da5bb04ea"},
+}
+
+// withoutDeletes returns a copy of tr with every delete read instead.
+func withoutDeletes(tr *trace.Trace) *trace.Trace {
+	out := &trace.Trace{Reqs: append([]trace.Request(nil), tr.Reqs...)}
+	for i := range out.Reqs {
+		out.Reqs[i].Op = trace.OpGet
+	}
+	return out
 }
 
 func TestKRRCurvesMatchRecordedDigests(t *testing.T) {
 	tr := oracleTrace(t)
-	for _, c := range krrDigests {
+	checkDigests(t, tr, krrDigests)
+	checkDigests(t, withoutDeletes(tr), shardsDigests)
+}
+
+func checkDigests(t *testing.T, tr *trace.Trace, cases []digestCase) {
+	t.Helper()
+	for _, c := range cases {
 		m, err := New(c.name, c.opts)
 		if err != nil {
 			t.Fatal(err)
@@ -136,5 +190,26 @@ func TestKRRCurvesMatchRecordedDigests(t *testing.T) {
 			t.Errorf("%s %+v:\n got obj %s bytes %q seen %d sampled %d\nwant obj %s bytes %q seen %d sampled %d",
 				c.name, c.opts, obj, byt, st.Seen, st.Sampled, c.object, c.bytes, c.seen, c.sampled)
 		}
+	}
+}
+
+// TestShardsAtRateOneIsOlken: unsampled, SHARDS_adj has no shortfall
+// to credit, so shards must equal the exact olken model bit for bit on
+// a stream with deletes, object and byte curves alike. A correction
+// that counts deletes as expected references credits each one as a
+// distance-1 hit instead.
+func TestShardsAtRateOneIsOlken(t *testing.T) {
+	tr := oracleTrace(t)
+	curves := func(name string) (obj, byt string) {
+		m, err := New(name, Options{Seed: 3, Bytes: BytesOn, SamplingRate: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, m, tr)
+		return curveDigest(m.ObjectMRC()), curveDigest(m.ByteMRC())
+	}
+	wantObj, wantByt := curves("olken")
+	if obj, byt := curves("shards"); obj != wantObj || byt != wantByt {
+		t.Fatalf("shards at rate 1: object %s bytes %s, olken: object %s bytes %s", obj, byt, wantObj, wantByt)
 	}
 }

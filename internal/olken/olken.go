@@ -7,17 +7,11 @@
 //
 // This is the repository's ground-truth oracle for exact LRU, the
 // baseline the paper compares against, and the substrate for SHARDS.
+// The package exports the stack alone: the olken and shards models in
+// internal/model own the filter, counters, histograms and curves.
 package olken
 
-import (
-	"errors"
-	"io"
-
-	"krr/internal/histogram"
-	"krr/internal/mrc"
-	"krr/internal/trace"
-	"krr/internal/xrand"
-)
+import "krr/internal/xrand"
 
 type node struct {
 	time   uint64 // last-access logical time; unique tree key
@@ -209,78 +203,4 @@ func (s *Stack) SizeOf(key uint64) (uint32, bool) {
 		return 0, false
 	}
 	return n.size, true
-}
-
-// Profiler runs an exact-LRU one-pass MRC construction over a request
-// stream, recording both object- and byte-granularity histograms.
-type Profiler struct {
-	stack    *Stack
-	objHist  *histogram.Dense
-	byteHist *histogram.Log
-}
-
-// NewProfiler returns an empty profiler.
-func NewProfiler(seed uint64) *Profiler {
-	return &Profiler{
-		stack:    New(seed),
-		objHist:  histogram.NewDense(1024),
-		byteHist: histogram.NewLog(),
-	}
-}
-
-// Process feeds one request.
-func (p *Profiler) Process(req trace.Request) {
-	if req.Op == trace.OpDelete {
-		p.stack.Delete(req.Key)
-		return
-	}
-	res := p.stack.Reference(req.Key, req.Size)
-	if res.Cold {
-		p.objHist.AddCold()
-		p.byteHist.AddCold()
-		return
-	}
-	p.objHist.Add(res.Distance)
-	p.byteHist.Add(res.ByteDistance)
-}
-
-// ProcessAll drains a reader.
-func (p *Profiler) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		p.Process(req)
-	}
-}
-
-// ObjectMRC returns the exact LRU miss-ratio curve over object-count
-// cache sizes; scale rescales distances (pass 1/R under sampling).
-func (p *Profiler) ObjectMRC(scale float64) *mrc.Curve {
-	return mrc.FromHistogram(p.objHist, scale)
-}
-
-// ByteMRC returns the exact LRU miss-ratio curve over byte cache
-// sizes.
-func (p *Profiler) ByteMRC(scale float64) *mrc.Curve {
-	return mrc.FromHistogram(p.byteHist, scale)
-}
-
-// ObjHist exposes the object-granularity histogram.
-func (p *Profiler) ObjHist() *histogram.Dense { return p.objHist }
-
-// ByteHist exposes the byte-granularity histogram.
-func (p *Profiler) ByteHist() *histogram.Log { return p.byteHist }
-
-// Stack exposes the underlying LRU stack.
-func (p *Profiler) Stack() *Stack { return p.stack }
-
-// MemoryOverheadBytes estimates the profiler's resident metadata:
-// stack nodes plus both histogram backing arrays.
-func (p *Profiler) MemoryOverheadBytes() uint64 {
-	return p.stack.MemoryOverheadBytes() + p.objHist.MemBytes() + p.byteHist.MemBytes()
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"krr/internal/trace"
-	"krr/internal/workload"
 	"krr/internal/xrand"
 )
 
@@ -191,57 +189,6 @@ func TestTreapInvariants(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestProfilerMRCOnLoop(t *testing.T) {
-	// A cyclic loop over M objects under exact LRU misses everything
-	// for any cache smaller than M and hits everything at M.
-	const m = 100
-	p := NewProfiler(1)
-	g := workload.NewLoop(m, nil)
-	if err := p.ProcessAll(trace.LimitReader(g, m*20)); err != nil {
-		t.Fatal(err)
-	}
-	curve := p.ObjectMRC(1)
-	if miss := curve.Eval(m); miss > 0.06 {
-		t.Fatalf("miss at full loop size = %v, want ~cold ratio", miss)
-	}
-	if miss := curve.Eval(m / 2); miss < 0.94 {
-		t.Fatalf("miss at half loop size = %v, want ~1 (LRU loop pathology)", miss)
-	}
-}
-
-func TestProfilerZipfMonotone(t *testing.T) {
-	p := NewProfiler(2)
-	g := workload.NewZipf(3, 5000, 1.0, nil, 0)
-	if err := p.ProcessAll(trace.LimitReader(g, 100000)); err != nil {
-		t.Fatal(err)
-	}
-	c := p.ObjectMRC(1)
-	for i := 1; i < c.Len(); i++ {
-		if c.Miss[i] > c.Miss[i-1]+1e-12 {
-			t.Fatal("exact LRU MRC must be non-increasing")
-		}
-	}
-	// Sanity: a big cache has lower miss ratio than a tiny one.
-	if c.Eval(5000) >= c.Eval(10) {
-		t.Fatal("MRC not decreasing with size")
-	}
-}
-
-func TestProfilerDeleteOp(t *testing.T) {
-	p := NewProfiler(3)
-	tr := &trace.Trace{Reqs: []trace.Request{
-		{Key: 1, Size: 1, Op: trace.OpGet},
-		{Key: 1, Size: 1, Op: trace.OpDelete},
-		{Key: 1, Size: 1, Op: trace.OpGet}, // cold again after delete
-	}}
-	if err := p.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	if p.ObjHist().Cold() != 2 {
-		t.Fatalf("cold = %d, want 2", p.ObjHist().Cold())
 	}
 }
 

@@ -1,17 +1,15 @@
-// Package shards implements SHARDS (Waldspurger et al., FAST '15) —
-// the spatially-sampled exact-LRU MRC approximation the paper uses
-// both as its sampling technique (§2.4) and as the baseline LRU model
-// KRR's runtime is compared against (Table 5.4).
+// Package shards implements bounded-memory SHARDS (Waldspurger et
+// al., FAST '15), the spatially-sampled exact-LRU MRC approximation the
+// paper uses both as its sampling technique (§2.4) and as the baseline
+// LRU model KRR's runtime is compared against (Table 5.4).
 //
-// Two variants are provided:
-//
-//   - FixedRate: the sampling condition hash(L) mod P < T with a
-//     constant threshold; distances are measured on the sampled
-//     stream with an Olken tree and rescaled by 1/R.
-//   - FixedSize: SHARDS_adj's bounded-memory mode — the threshold is
-//     lowered whenever the sample set exceeds sMax, evicting keys
-//     whose hash no longer qualifies; each distance is rescaled by
-//     the rate in force when it was recorded.
+// FixedSize is SHARDS_adj's bounded-memory mode: the threshold is
+// lowered whenever the sample set exceeds sMax, evicting keys whose
+// hash no longer qualifies; each distance is rescaled by the rate in
+// force when it was recorded. Fixed-rate SHARDS needs no kernel of its
+// own: it is the olken stack behind the model layer's spatial filter,
+// and the shards model in internal/model applies the SHARDS_adj count
+// correction there.
 package shards
 
 import (
@@ -24,89 +22,6 @@ import (
 	"krr/internal/sampling"
 	"krr/internal/trace"
 )
-
-// FixedRate is constant-rate SHARDS.
-type FixedRate struct {
-	filter *sampling.Filter
-	prof   *olken.Profiler
-	seen   uint64
-	// adjust adds the SHARDS_adj correction: the difference between
-	// the expected and actual sampled reference counts is credited to
-	// the smallest-distance bucket, correcting the miss-ratio
-	// normalization for sampling deviation.
-	adjust bool
-}
-
-// NewFixedRate builds a fixed-rate SHARDS model. rate must be in
-// (0, 1]; adjust enables the SHARDS_adj count correction.
-func NewFixedRate(rate float64, seed uint64, adjust bool) *FixedRate {
-	if rate <= 0 || rate > 1 {
-		panic("shards: rate must be in (0, 1]")
-	}
-	return &FixedRate{
-		filter: sampling.NewRate(rate),
-		prof:   olken.NewProfiler(seed),
-		adjust: adjust,
-	}
-}
-
-// Rate returns the effective sampling rate.
-func (s *FixedRate) Rate() float64 { return s.filter.Rate() }
-
-// Process feeds one request.
-func (s *FixedRate) Process(req trace.Request) {
-	s.seen++
-	if !s.filter.Sampled(req.Key) {
-		return
-	}
-	s.prof.Process(req)
-}
-
-// ProcessAll drains a reader.
-func (s *FixedRate) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the approximated exact-LRU curve over object cache
-// sizes. It is non-destructive: the SHARDS_adj shortfall credit is
-// applied to a copy of the histogram, so repeated calls — including
-// mid-stream snapshot reads — never compound the correction into the
-// live counts.
-func (s *FixedRate) MRC() *mrc.Curve {
-	hist := s.prof.ObjHist()
-	if s.adjust {
-		expected := uint64(float64(s.seen)*s.filter.Rate() + 0.5)
-		actual := hist.Total()
-		if expected > actual {
-			// Credit the shortfall to distance 1: under-sampling means
-			// short-distance references were missed.
-			adjusted := hist.Clone()
-			adjusted.AddN(1, expected-actual)
-			return mrc.FromHistogram(adjusted, 1/s.filter.Rate())
-		}
-	}
-	return mrc.FromHistogram(hist, 1/s.filter.Rate())
-}
-
-// ByteMRC returns the curve over byte cache sizes.
-func (s *FixedRate) ByteMRC() *mrc.Curve {
-	return mrc.FromHistogram(s.prof.ByteHist(), 1/s.filter.Rate())
-}
-
-// MemoryOverheadBytes estimates the model's resident metadata (the
-// sampled-stream Olken profiler).
-func (s *FixedRate) MemoryOverheadBytes() uint64 {
-	return s.prof.MemoryOverheadBytes()
-}
 
 // FixedSize is bounded-memory SHARDS: at most sMax sampled objects are
 // tracked, with the sampling threshold lowered as needed.
@@ -134,7 +49,6 @@ type FixedSize struct {
 	hist   []float64
 	coldW  float64
 	totalW float64
-	seen   uint64
 }
 
 // hashEntry orders the live sample set by hash for threshold shrinks.
@@ -182,7 +96,6 @@ func (s *FixedSize) MemoryOverheadBytes() uint64 {
 
 // Process feeds one request.
 func (s *FixedSize) Process(req trace.Request) {
-	s.seen++
 	h := hashing.Mix64(req.Key) % sampling.Modulus
 	if h >= s.threshold {
 		return

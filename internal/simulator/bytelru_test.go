@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"krr/internal/olken"
+	"krr/internal/model"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
@@ -18,12 +18,22 @@ func TestByteLRUMatchesOlkenByteCurve(t *testing.T) {
 	g := workload.NewTwitterLike(5, workload.TwitterParams{Keys: 3000, Alpha: 1.0})
 	tr, _ := trace.Collect(g, 60000)
 
-	prof := olken.NewProfiler(1)
-	if err := prof.ProcessAll(tr.Reader()); err != nil {
+	m, err := model.New("olken", model.Options{Seed: 1, Bytes: model.BytesOn})
+	if err != nil {
 		t.Fatal(err)
 	}
-	curve := prof.ByteMRC(1)
-	wss := prof.Stack().Bytes()
+	if err := model.ProcessAll(m, tr.Reader()); err != nil {
+		t.Fatal(err)
+	}
+	curve := m.ByteMRC()
+	last := map[uint64]uint32{}
+	for _, req := range tr.Reqs {
+		last[req.Key] = req.Size
+	}
+	var wss uint64
+	for _, size := range last {
+		wss += uint64(size)
+	}
 
 	for _, frac := range []float64{0.1, 0.3, 0.6, 0.9} {
 		capBytes := uint64(float64(wss) * frac)

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"krr/internal/model"
 	"krr/internal/mrc"
-	"krr/internal/olken"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
@@ -43,11 +43,14 @@ func TestLRUMatchesOlkenProfilerExactly(t *testing.T) {
 	})
 	tr, _ := trace.Collect(g, 30000)
 
-	prof := olken.NewProfiler(1)
-	if err := prof.ProcessAll(tr.Reader()); err != nil {
+	m, err := model.New("olken", model.Options{Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	exact := prof.ObjectMRC(1)
+	if err := model.ProcessAll(m, tr.Reader()); err != nil {
+		t.Fatal(err)
+	}
+	exact := m.ObjectMRC()
 
 	for _, size := range []uint64{10, 50, 200, 1000, 1900} {
 		st, err := Run(NewLRU(ObjectCapacity(int(size))), tr.Reader())

@@ -18,8 +18,9 @@
 //     byte-granularity distances for variable object sizes.
 //   - Simulators (internal/simulator, internal/redislike) — ground
 //     truth: exact LRU, K-LRU, and a Redis-like engine.
-//   - Baselines (internal/olken, internal/shards, internal/stack) —
-//     exact-LRU stack models and SHARDS.
+//   - Baselines (internal/olken, internal/shards) — the exact-LRU
+//     stack kernel behind the olken and shards models, and fixed-size
+//     SHARDS. Mattson's linear "Basic Stack" is the krr-linear model.
 //   - Workloads (internal/workload) — synthetic MSR-, YCSB- and
 //     Twitter-like request generators.
 //

@@ -43,8 +43,8 @@ if [ "${1:-}" = "fast" ]; then
 	go test ./...
 	echo "== krr-bucket key table vs slot-arena reference (oracle)"
 	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete' ./internal/core/
-	echo "== krr models vs digests recorded from the former core wrappers (oracle)"
-	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence' ./internal/model/
+	echo "== krr and baseline models vs digests recorded from the former wrappers (oracle); shards at rate 1 is olken"
+	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence' ./internal/model/
 	go test -count=1 -run 'TestDecisionLogMatchesRecordedDigest|TestShadowModelsKeepStreamingAcrossDecisions' ./internal/dlru/
 	go test -count=1 -run 'TestKPrimeAblationMatchesRecordedDigests' ./internal/experiments/
 	echo "== model conformance + snapshots + histogram reads (-race)"
