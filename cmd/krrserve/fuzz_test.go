@@ -10,8 +10,9 @@ import (
 // encoding/json fallback. On any line the fast path either punts or
 // yields exactly the request the fallback decodes — it never accepts a
 // line the fallback rejects. Whole bodies (the fuzzer's bytes may hold
-// several lines) must drain to the same requests and the same error
-// with and without forceSlow, on recycled scanner buffers.
+// several lines) must drain through NextBatch, at a fuzzed batch
+// length, to the same requests and the same error as through the
+// Scanner reference, on recycled pooled buffers.
 func FuzzNDJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{"key": 42, "size": 512, "op": "get"}`,
@@ -45,9 +46,9 @@ func FuzzNDJSON(f *testing.F) {
 		"{\"key\": 1}\n\n  \n{\"key\": \"x\", \"op\": \"delete\"}",
 		"",
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed), uint16(len(seed)%5))
 	}
-	f.Fuzz(func(t *testing.T, line []byte) {
+	f.Fuzz(func(t *testing.T, line []byte, batch uint16) {
 		if fast, ok := parseNDJSONLine(line); ok {
 			var n ndjsonReq
 			if err := json.Unmarshal(line, &n); err != nil {
@@ -62,24 +63,24 @@ func FuzzNDJSON(f *testing.F) {
 			}
 		}
 
-		// The forced-slow reader starts on the buffer the fast one
-		// released, so leftover bytes would show as a mismatch.
+		// The reference starts on the buffer the batch reader released,
+		// so leftover bytes would show as a mismatch.
+		k := int(batch)%4096 + 1
 		fastReader := newNDJSONReader(bytes.NewReader(line))
-		fastReqs, fastErr := drain(fastReader)
+		fastReqs, fastErr := drainBatches(fastReader, k)
 		fastReader.release()
-		slowReader := newNDJSONReader(bytes.NewReader(line))
-		slowReader.forceSlow = true
-		slowReqs, slowErr := drain(slowReader)
-		slowReader.release()
-		if (fastErr == nil) != (slowErr == nil) || (fastErr != nil && fastErr.Error() != slowErr.Error()) {
-			t.Fatalf("body %q: fast error %v, forced-slow error %v", line, fastErr, slowErr)
+		refReader := newRefNDJSONReader(bytes.NewReader(line))
+		refReqs, refErr := drain(refReader)
+		refReader.release()
+		if (fastErr == nil) != (refErr == nil) || (fastErr != nil && fastErr.Error() != refErr.Error()) {
+			t.Fatalf("body %q, batch %d: error %v, reference error %v", line, k, fastErr, refErr)
 		}
-		if len(fastReqs) != len(slowReqs) {
-			t.Fatalf("body %q: fast %d requests, forced-slow %d", line, len(fastReqs), len(slowReqs))
+		if len(fastReqs) != len(refReqs) {
+			t.Fatalf("body %q, batch %d: %d requests, reference %d", line, k, len(fastReqs), len(refReqs))
 		}
 		for i := range fastReqs {
-			if fastReqs[i] != slowReqs[i] {
-				t.Fatalf("body %q request %d: fast %+v != forced-slow %+v", line, i, fastReqs[i], slowReqs[i])
+			if fastReqs[i] != refReqs[i] {
+				t.Fatalf("body %q, batch %d, request %d: %+v != reference %+v", line, k, i, fastReqs[i], refReqs[i])
 			}
 		}
 	})

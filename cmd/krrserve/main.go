@@ -49,7 +49,18 @@
 //	GET  /healthz    liveness probe.
 //
 // With -tcp the daemon also serves the binary wire ingest plane
-// (internal/wire). Both front ends feed fleet.Registry.IngestBatch.
+// (internal/wire). Both front ends feed fleet.Registry.IngestBatch, and
+// both decode on one goroutine while another ingests: the wire plane's
+// connection reader and worker, and for HTTP bodies the decoder
+// goroutine of fleet.Registry.Ingest.
+//
+// NDJSON bodies are read by a trace.BatchReader (ndjson.go) that parses
+// each line straight into the 4096-request ingest batch. Canonical
+// lines take an allocation-free parser that hashes string keys as it
+// checks them; any other line is decoded by encoding/json, whose
+// requests and error messages the route reports. Lines are split as
+// bufio.Scanner splits them, up to 1 MiB per line, from a pooled 64 KiB
+// buffer.
 //
 // On SIGTERM/SIGINT the server stops accepting requests, drains the
 // wire plane, and writes the "default" tenant's final curve as JSON to
@@ -409,8 +420,8 @@ func (n ndjsonReq) request() (trace.Request, error) {
 }
 
 // bodyReader adapts an ingest body (binary or NDJSON) to trace.Reader.
-// NDJSON goes through the allocation-free line parser in ndjson.go,
-// whose pooled buffer the caller releases.
+// NDJSON goes through the batch reader in ndjson.go, whose pooled
+// buffer the caller releases once fleet.Registry.Ingest returns.
 func bodyReader(r *http.Request) (trace.Reader, error) {
 	if r.Header.Get("Content-Type") == "application/octet-stream" {
 		return trace.NewBinaryReader(r.Body)

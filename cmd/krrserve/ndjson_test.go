@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"krr/internal/fleet"
 	"krr/internal/hashing"
 	"krr/internal/trace"
 )
@@ -90,7 +91,8 @@ func ndjsonCorpus() string {
 // TestNDJSONFastPathEquivalence pins the hand-rolled parser to the
 // encoding/json semantics on a corpus mixing canonical and exotic
 // lines: identical request streams from all three paths (fast+fallback
-// mix, forced fallback, legacy decoder).
+// mix, the Scanner reference decoding every line with encoding/json,
+// legacy decoder).
 func TestNDJSONFastPathEquivalence(t *testing.T) {
 	corpus := ndjsonCorpus()
 
@@ -98,9 +100,7 @@ func TestNDJSONFastPathEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowReader := newNDJSONReader(strings.NewReader(corpus))
-	slowReader.forceSlow = true
-	slow, err := drain(slowReader)
+	ref, err := drain(newRefNDJSONReader(strings.NewReader(corpus)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestNDJSONFastPathEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(fast) != len(slow) || len(fast) != len(legacy) {
-		t.Fatalf("lengths: fast %d slow %d legacy %d", len(fast), len(slow), len(legacy))
+	if len(fast) != len(ref) || len(fast) != len(legacy) {
+		t.Fatalf("lengths: fast %d reference %d legacy %d", len(fast), len(ref), len(legacy))
 	}
 	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("request %d: fast %+v != forced-slow %+v", i, fast[i], slow[i])
+		if fast[i] != ref[i] {
+			t.Fatalf("request %d: fast %+v != reference %+v", i, fast[i], ref[i])
 		}
 		if fast[i] != legacy[i] {
 			t.Fatalf("request %d: fast %+v != legacy %+v", i, fast[i], legacy[i])
@@ -248,29 +248,85 @@ func TestNDJSONReleaseAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkNDJSONDecode is the satellite's before/after: the legacy
-// json.Decoder path versus the fast line parser on identical canonical
-// bodies. Allocations per request are the headline number.
+// TestNDJSONIngestAllocGuard pins the pipelined HTTP ingest route
+// below HTTP: once warm, a 10,000-line body in krrbench's string-key
+// layout, decoded by the NDJSON reader and fed through
+// fleet.Registry.Ingest into an aet tenant, allocates less than 4 KiB —
+// the reader, the pipeline's channels and its decoder goroutine, but
+// no buffer or batch.
+func TestNDJSONIngestAllocGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	const lines = 10000
+	body := stringKeyBody(lines)
+	reg := fleet.NewRegistry(fleet.Config{Default: fleet.Spec{Model: "aet"}})
+	src := strings.NewReader(body)
+	run := func() {
+		src.Reset(body)
+		r := newNDJSONReader(src)
+		n, err := reg.Ingest("nd", r)
+		r.release()
+		if err != nil || n != lines {
+			t.Fatalf("ingested %d lines (%v), want %d", n, err, lines)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per %d-line body", per, lines)
+	if per >= 4<<10 {
+		t.Fatalf("%d bytes allocated per %d-line body, want < %d", per, lines, 4<<10)
+	}
+}
+
+// stringKeyBody renders n lines in the layout krrbench's http-ndjson
+// workload sends: "user:<n>" string keys, no spaces.
+func stringKeyBody(n int) string {
+	var sb strings.Builder
+	rng := rand.New(rand.NewPCG(5, 6))
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "{\"key\":\"user:%d\",\"size\":200,\"op\":\"get\"}\n", rng.IntN(1_000_000))
+	}
+	return sb.String()
+}
+
+// BenchmarkNDJSONDecode is the decode layer's before/after: the legacy
+// json.Decoder path versus the batch reader on identical canonical
+// bodies with integer keys and spaces, and the batch reader on
+// krrbench's string-key layout. Each body drains in Registry.Ingest's
+// 4096-request batches. Allocations per request are the headline
+// number of the first pair.
 func BenchmarkNDJSONDecode(b *testing.B) {
 	const lines = 10000
-	body := canonicalBody(lines)
+	body, strBody := canonicalBody(lines), stringKeyBody(lines)
 	for _, bench := range []struct {
 		name string
-		mk   func() trace.Reader
+		body string
+		mk   func(string) trace.Reader
 	}{
-		{"legacy", func() trace.Reader { return legacyNDJSONReader(strings.NewReader(body)) }},
-		{"fast", func() trace.Reader { return newNDJSONReader(strings.NewReader(body)) }},
+		{"legacy", body, func(s string) trace.Reader { return legacyNDJSONReader(strings.NewReader(s)) }},
+		{"fast", body, func(s string) trace.Reader { return newNDJSONReader(strings.NewReader(s)) }},
+		{"string-keys", strBody, func(s string) trace.Reader { return newNDJSONReader(strings.NewReader(s)) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			var buf [64]trace.Request
-			b.SetBytes(int64(len(body)))
+			buf := make([]trace.Request, 4096)
+			b.SetBytes(int64(len(bench.body)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := bench.mk()
+				r := bench.mk(bench.body)
 				n := 0
 				for {
-					k, err := trace.ReadBatch(r, buf[:])
+					k, err := trace.ReadBatch(r, buf)
 					n += k
 					if err != nil {
 						if errors.Is(err, io.EOF) {

@@ -93,14 +93,13 @@ type SampledCacheConfig = simulator.SampledConfig
 func NewSampledCache(cfg SampledCacheConfig) Cache { return simulator.NewSampled(cfg) }
 
 // NSPStack computes one-pass stack distances for NSP-class priority
-// policies (Bilardi et al., CF '11): perfect LFU and MRU.
+// policies (Bilardi et al., CF '11), such as perfect LFU. For MRU use
+// NewModel("mru", …): its exact transposition stack is Mattson's MRU
+// stack, which the generic NSP engine is not.
 type NSPStack = nsp.Stack
 
 // NewLFUStack returns an NSP stack modeling a perfect-LFU cache.
 func NewLFUStack(seed uint64) *NSPStack { return nsp.New(nsp.LFU{}, seed) }
-
-// NewMRUStack returns an NSP stack modeling an MRU cache.
-func NewMRUStack(seed uint64) *NSPStack { return nsp.New(nsp.MRU{}, seed) }
 
 // OPTMRC computes Belady's clairvoyant-optimal miss ratio curve — the
 // lower bound against which every replacement policy is read.

@@ -405,33 +405,85 @@ func (r *Registry) Footprint() int64 {
 // krrload and krrbench, so both front ends feed batches of one size.
 const ingestBatchLen = 4096
 
-var ingestBufs = sync.Pool{New: func() any { return new([ingestBatchLen]trace.Request) }}
+type ingestBuf = [ingestBatchLen]trace.Request
+
+var ingestBufs = sync.Pool{New: func() any { return new(ingestBuf) }}
+
+// decodedBatch is one batch Ingest's decoder hands over: n requests in
+// buf, then the read error that ended the batch, if any.
+type decodedBatch struct {
+	buf *ingestBuf
+	n   int
+	err error
+}
 
 // Ingest drains a reader into the tenant (auto-created when absent) as
-// a loop of IngestBatch calls, decoding each batch before the tenant
-// lock is taken: a slow reader, such as an HTTP body still uploading,
-// never blocks the tenant. When the reader ends, the footprint is
-// refreshed and the memory budget enforced once. It returns the number
-// of requests ingested, including those before a read error.
+// a loop of IngestBatch calls. Decoding is pipelined with the model:
+// a decoder goroutine reads the next batch into one of two pooled
+// batches while the caller feeds the other to IngestBatch, as the wire
+// plane's reader and worker do. No batch is decoded under the tenant
+// lock, so a slow reader, such as an HTTP body still uploading, never
+// blocks the tenant. When the reader ends, the footprint is refreshed
+// and the memory budget enforced once. It returns the number of
+// requests ingested, including those before a read error, and stops at
+// the first read or IngestBatch error.
+//
+// Ingest returns only once the decoder has exited, so the caller may
+// release the reader's resources afterwards. After an IngestBatch
+// error that means waiting out the batch being read, if any.
 func (r *Registry) Ingest(id string, reader trace.Reader) (uint64, error) {
 	if _, err := r.Ensure(id); err != nil {
 		return 0, err
 	}
-	buf := ingestBufs.Get().(*[ingestBatchLen]trace.Request)
-	defer ingestBufs.Put(buf)
+	// Both channels hold at most the two batches in circulation, so no
+	// send blocks.
+	free := make(chan *ingestBuf, 2)
+	full := make(chan decodedBatch, 2)
+	stop := make(chan struct{})
+	free <- ingestBufs.Get().(*ingestBuf)
+	free <- ingestBufs.Get().(*ingestBuf)
+	go func() {
+		defer close(full)
+		for {
+			var buf *ingestBuf
+			select {
+			case buf = <-free:
+			case <-stop:
+				return
+			}
+			k, err := trace.ReadBatch(reader, buf[:])
+			full <- decodedBatch{buf, k, err}
+			if err != nil {
+				return
+			}
+		}
+	}()
+
 	var n uint64
 	var err error
-	for err == nil {
-		var k int
-		k, err = trace.ReadBatch(reader, buf[:])
-		if k > 0 {
-			if ierr := r.IngestBatch(id, buf[:k]); ierr != nil {
-				err = ierr
+	for {
+		d := <-full
+		if d.n > 0 {
+			if err = r.IngestBatch(id, d.buf[:d.n]); err != nil {
+				ingestBufs.Put(d.buf)
 				break
 			}
-			n += uint64(k)
+			n += uint64(d.n)
 		}
+		if err = d.err; err != nil {
+			ingestBufs.Put(d.buf)
+			break
+		}
+		free <- d.buf
 	}
+	close(stop)
+	for d := range full { // returns once the decoder has exited
+		ingestBufs.Put(d.buf)
+	}
+	if len(free) > 0 {
+		ingestBufs.Put(<-free)
+	}
+
 	if t, ok := r.Get(id); ok {
 		t.mu.Lock()
 		t.footprint.Store(model.FootprintOf(t.model))

@@ -29,18 +29,23 @@ func Murmur3Fmix(x uint64) uint64 {
 	return x
 }
 
+// FNV-1a parameters of String and Bytes. A parser that hashes a key
+// while scanning it starts at FNVOffset, steps h = (h ^ c) * FNVPrime
+// per byte and finishes with Mix64; the result equals Bytes of the
+// same bytes.
+const (
+	FNVOffset = 14695981039346656037
+	FNVPrime  = 1099511628211
+)
+
 // String hashes an arbitrary byte-string key with the FNV-1a core
 // followed by a Mix64 finalization, for callers whose cache keys are
 // strings rather than integers.
 func String(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(FNVOffset)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
-		h *= prime64
+		h *= FNVPrime
 	}
 	return Mix64(h)
 }
@@ -49,14 +54,10 @@ func String(s string) uint64 {
 // sub-slices of an input buffer and must not allocate a string to hash
 // them. Bytes(b) == String(string(b)) for every b.
 func Bytes(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(FNVOffset)
 	for i := 0; i < len(b); i++ {
 		h ^= uint64(b[i])
-		h *= prime64
+		h *= FNVPrime
 	}
 	return Mix64(h)
 }

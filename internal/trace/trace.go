@@ -99,8 +99,9 @@ func (r *sliceReader) NextBatch(dst []Request) (int, error) {
 // BatchReader is an optional fast path over Reader: NextBatch fills
 // dst with up to len(dst) requests and returns how many were written.
 // It returns 0, io.EOF once the stream is exhausted. High-throughput
-// consumers (the sharded profiler pipeline) use it to amortize the
-// per-request interface-call cost.
+// consumers (fleet.Registry.Ingest, model.ProcessAll) use it to
+// amortize the per-request interface-call cost; krrserve's NDJSON
+// reader implements it to parse straight into the caller's batch.
 type BatchReader interface {
 	Reader
 	NextBatch(dst []Request) (int, error)

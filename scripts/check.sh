@@ -70,12 +70,14 @@ go test -count=1 -run TestFleetSmoke ./cmd/krrserve/
 echo "== ingest smoke (krrload -> krrserve wire plane over loopback, zero drops)"
 go test -count=1 -run TestIngestSmoke ./cmd/krrserve/
 
-echo "== ingest failure injection (-race: stalled HTTP body, sink failure in drain, disconnect mid-frame, slow tenant, eviction with frames queued)"
+echo "== ingest failure injection (-race: stalled HTTP body, sink failure in drain, disconnect mid-frame, slow tenant, eviction with frames queued, decode and ingest errors mid-body)"
 go test -race -count=1 -run 'TestFailure|TestServerSinkError' ./internal/wire/ ./cmd/krrserve/
+go test -race -count=1 -run 'TestIngestDecodeErrorMidBody|TestIngestBatchErrorStopsDecoder' ./internal/fleet/
 
-echo "== ingest alloc guards (wire decode allocation-free; wire connection and NDJSON body buffers recycled)"
+echo "== ingest alloc guards (wire decode allocation-free; wire connection, NDJSON body buffers and ingest batches recycled)"
 go test -count=1 -run 'TestDecodeHotPathAllocFree|TestServerShortConnAllocs' ./internal/wire/
-go test -count=1 -run 'TestNDJSONReleaseAllocFree' ./cmd/krrserve/
+go test -count=1 -run 'TestNDJSONReleaseAllocFree|TestNDJSONIngestAllocGuard' ./cmd/krrserve/
+go test -count=1 -run 'TestIngestErrorReturnsPooledBatches' ./internal/fleet/
 
 echo "== curve read path (alloc guards; walker, JSON writer, waterfill and responses pinned to references)"
 go test -count=1 -run 'TestTenantMissRatioReadAllocFree|TestFullCurveWriteAllocGuard|TestWaterfillMatchesReference|TestWaterfillLinearCurvesMatchReference|TestTenantReadMatchesModelSnapshot' ./internal/fleet/
