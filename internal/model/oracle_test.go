@@ -69,8 +69,11 @@ type digestCase struct {
 // core.Profiler, core.BucketProfiler and core.ShardedProfiler wrappers
 // (Workers 2 is the sharded one) for the krr models, and with the
 // former olken.Profiler adapter for olken, and with counterstacks, che
-// and fagin as they were then. Every adapter now drives its kernel
-// itself; the curves and counters must not move by a bit.
+// and fagin as they were then. The aet, statstack, shards-fixedsize,
+// mimir, lfu and mru rows were recorded while aet and shards-fixedsize
+// still had their filter mirrored in the adapter for Sampled and every
+// kernel still carried its own ProcessAll. Every adapter now drives its
+// kernel itself; the curves and counters must not move by a bit.
 var krrDigests = []digestCase{
 	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "f1e1355c99882456257fe838be22afa0781ae647cd4d52eb2fec2cb0277c3ea4", ""},
 	{"krr", Options{K: 5, Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 2}, 12000, 12000, "00f6bb3a54349486bcfb1d283fd9d0d85ef3295a316a37bea1e96d96df110abf", ""},
@@ -144,7 +147,39 @@ var krrDigests = []digestCase{
 	{"che", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "6346696fd8a959c418a29183f5eca4a12664783803e32f3941e2e5e3f912a7e2", ""},
 	{"fagin", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "1ddd246d47e0583b1df8e4bcef8216aa6dc8bcc7be0e9abf8cba741a985ce8e0", ""},
 	{"fagin", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "2088fbf4e500d75a853958281c7588823fdd0b8659e3fde947a34e2acf385b07", ""},
+	{"aet", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "3ebd3c2a9f69c5f3ffbd8bbfbea9d26d894e79e121f2d9aa6ada7fdb0a98a536", ""},
+	{"aet", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "01a4152cef023596603171512b5a9e325115095ce56726ebb3e6fd2cd25d0612", ""},
+	{"aet", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "d1f948437cc3bd66be3d7dd649b1d9ca8c847de073f72ab7ebe3f3f1fa389490", ""},
+	{"statstack", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "ef5fc639dfc0ffca93940d9b0edb3e51e3bd4338aa84ab1a1e25b33aa24e8fef", ""},
+	{"statstack", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "dab6dc8364c9b6bd4a745ce7c5e0db2878a9bbbba4bd3d261da852835ef1b27e", ""},
+	{"statstack", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "644c88177e0e27baed02a83c60cec1113cabd481c697c47efd51cfef284e2047", ""},
+	{"shards-fixedsize", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "4d1b8829df9eca032bb7269201d8f7d267f78396c6f2c32afb02c21cb306cd18", ""},
+	{"shards-fixedsize", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "dce048d8251a6aaddfceed0a9c6b935537cf4d14104b78262b11ae02c758aa37", ""},
+	{"shards-fixedsize", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "7a2c79ed2587cb04b4296f88f253d73a68a559a876351943f6d497141a61fd2a", ""},
+	{"shards-fixedsize", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 1, Workers: 0}, 12000, 12000, "4d1b8829df9eca032bb7269201d8f7d267f78396c6f2c32afb02c21cb306cd18", ""},
+	{"mimir", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "678c52584b4b7fc27505a777c4da680a4e28a6b88488df58fd52b82fe9ee9054", ""},
+	{"mimir", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "ea7ddf800ee377afaebbdba6af340efbca82a65391f76549f2ea71200d7a476d", ""},
+	{"mimir", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "bd0aabbaa021f4d1a016025e5b2cbf8e39dacdb5843771bfd83723a5f36dadc0", ""},
+	{"lfu", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "a995ff9dce7461f2077b153f7dbb4cf6826dc661871cfa285a5d8b3302eb3d44", ""},
+	{"lfu", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "39a99c780d62e7193d4c25289a8c01700a95839a18a186f126f970704ef0787b", ""},
+	{"lfu", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "9078c9759ee9dc2dd89442e24d04501c7bc100180505db6a193b3cc5b0e831da", ""},
+	{"mru", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 12000, 12000, "82802047e29a7716622277377847262f281dc9a5f8b5ce399ff26faf0c1c458f", ""},
+	{"mru", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.1, Workers: 0}, 12000, 1124, "2c1a123ceb963b203513ce8d539bb88a822c90c62ee175bfa9d660d1edc09f45", ""},
+	{"mru", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 12000, 3502, "d86f4d787ff1a5e093128ccf2a1cd12dd38c9e0f6f07e33e530bc1d8669a558d", ""},
 }
+
+// fixedSizeShrinkDigests pin shards-fixedsize where its sample set
+// outgrows s_max and the threshold drops mid-stream: oracleTrace holds
+// too few keys for that, so these run on shrinkTrace. Rate 0 starts
+// unsampled and shrinks; 0.3 stays under the cap.
+var fixedSizeShrinkDigests = []digestCase{
+	{"shards-fixedsize", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0, Workers: 0}, 40000, 38938, "f1a2137a006e8bacca66087330748812c29a224214446058f7d111c9270aa974", ""},
+	{"shards-fixedsize", Options{Seed: 3, Bytes: BytesOff, SamplingRate: 0.3, Workers: 0}, 40000, 14960, "d957ca0caa31fa709e161a585a569a70b9045a315af19c840e6e9f215b76544e", ""},
+}
+
+// shrinkTrace is the Zipf stream fixedSizeShrinkDigests were recorded
+// on: 10237 distinct keys, past DefaultFixedSizeObjects.
+func shrinkTrace(t *testing.T) *trace.Trace { return synthTrace(t, 40000, 20000, 5) }
 
 // shardsDigests were recorded with the former shards.FixedRate model
 // on oracleTrace with its deletes turned back into reads: shards is
@@ -174,6 +209,7 @@ func TestKRRCurvesMatchRecordedDigests(t *testing.T) {
 	tr := oracleTrace(t)
 	checkDigests(t, tr, krrDigests)
 	checkDigests(t, withoutDeletes(tr), shardsDigests)
+	checkDigests(t, shrinkTrace(t), fixedSizeShrinkDigests)
 }
 
 func checkDigests(t *testing.T, tr *trace.Trace, cases []digestCase) {
