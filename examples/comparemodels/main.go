@@ -50,11 +50,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cs := krr.NewCounterStack(krr.CounterStackConfig{DownsampleInterval: 1000})
-	for _, req := range tr.Reqs {
-		cs.Process(req)
+	csCurve, err := krr.BuildMRCWith("counterstacks", tr.Reader(), krr.ModelOptions{})
+	if err != nil {
+		log.Fatal(err)
 	}
-	csCurve := cs.MRC()
 
 	fmt.Printf("msr-web-like, %d requests, %d objects — modeling a K-LRU cache with K=%d\n\n",
 		sum.Requests, sum.DistinctObjects, k)

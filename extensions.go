@@ -1,47 +1,16 @@
 package krr
 
-// Facade exports for the repository's extension features: the AET
-// exact-LRU model recommended for large K, miniature cache
-// simulation, the DLRU-style adaptive sampling-size controller, and
-// generalized sampled-eviction priorities.
+// Facade exports for the repository's extension features: the
+// DLRU-style adaptive sampling-size controller, generalized
+// sampled-eviction priorities, Belady's OPT curve and cache capacities.
+// The MRC techniques beyond KRR (AET, StatStack, Counter Stacks, MIMIR,
+// SHARDS, NSP LFU and MRU) have no exports of their own: build them by
+// name with NewModel, BuildMRC or BuildMRCWith (see Models).
 
 import (
-	"krr/internal/aet"
-	"krr/internal/counterstacks"
 	"krr/internal/dlru"
-	"krr/internal/minisim"
-	"krr/internal/nsp"
 	"krr/internal/simulator"
 )
-
-// CounterStack models exact LRU from staggered probabilistic
-// cardinality counters (Wires et al., OSDI '14) — §6.1.
-type CounterStack = counterstacks.Stack
-
-// CounterStackConfig assembles a CounterStack.
-type CounterStackConfig = counterstacks.Config
-
-// NewCounterStack builds a Counter Stacks model.
-func NewCounterStack(cfg CounterStackConfig) *CounterStack { return counterstacks.New(cfg) }
-
-// AETMonitor models exact LRU from the reuse-time distribution (Hu et
-// al., ATC '16). The paper recommends it over KRR once K >= 32, where
-// K-LRU has converged to LRU (§5.3).
-type AETMonitor = aet.Monitor
-
-// NewAETMonitor returns an AET monitor; samplingRate in (0, 1)
-// enables spatial sampling.
-func NewAETMonitor(samplingRate float64) *AETMonitor { return aet.New(samplingRate) }
-
-// MiniSim emulates K-LRU caches at many sizes with scaled-down
-// miniature caches over a sampled stream (Waldspurger et al., ATC '17).
-type MiniSim = minisim.Sim
-
-// MiniSimConfig assembles a MiniSim.
-type MiniSimConfig = minisim.Config
-
-// NewMiniSim builds a miniature simulation.
-func NewMiniSim(cfg MiniSimConfig) (*MiniSim, error) { return minisim.New(cfg) }
 
 // DLRUController adapts a live cache's eviction sampling size online,
 // driven by KRR shadow profilers (the DLRU idea, §1).
@@ -91,15 +60,6 @@ type SampledCacheConfig = simulator.SampledConfig
 
 // NewSampledCache builds a sampled-eviction cache.
 func NewSampledCache(cfg SampledCacheConfig) Cache { return simulator.NewSampled(cfg) }
-
-// NSPStack computes one-pass stack distances for NSP-class priority
-// policies (Bilardi et al., CF '11), such as perfect LFU. For MRU use
-// NewModel("mru", …): its exact transposition stack is Mattson's MRU
-// stack, which the generic NSP engine is not.
-type NSPStack = nsp.Stack
-
-// NewLFUStack returns an NSP stack modeling a perfect-LFU cache.
-func NewLFUStack(seed uint64) *NSPStack { return nsp.New(nsp.LFU{}, seed) }
 
 // OPTMRC computes Belady's clairvoyant-optimal miss ratio curve — the
 // lower bound against which every replacement policy is read.

@@ -7,31 +7,14 @@ import (
 )
 
 func TestFacadeAET(t *testing.T) {
-	mon := krr.NewAETMonitor(0)
 	gen := krr.PresetReader("zipf", 0.02, 3, false)
 	tr, _ := krr.Collect(gen, 30000)
-	if err := mon.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	c := mon.MRC()
-	if c.Eval(10) <= c.Eval(2000) {
-		t.Fatal("AET curve not decreasing")
-	}
-}
-
-func TestFacadeMiniSim(t *testing.T) {
-	sizes := krr.EvenSizes(2000, 5)
-	sim, err := krr.NewMiniSim(krr.MiniSimConfig{Sizes: sizes, Rate: 0.5, K: 5, Seed: 1})
+	c, err := krr.BuildMRCWith("aet", tr.Reader(), krr.ModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := krr.PresetReader("zipf", 0.02, 3, false)
-	tr, _ := krr.Collect(gen, 30000)
-	if err := sim.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	if sim.MRC().Len() != len(sizes) {
-		t.Fatal("minisim curve malformed")
+	if c.Eval(10) <= c.Eval(2000) {
+		t.Fatal("AET curve not decreasing")
 	}
 }
 
@@ -60,11 +43,16 @@ func TestFacadeNSPAndOPT(t *testing.T) {
 	gen := krr.PresetReader("zipf", 0.01, 3, false)
 	tr, _ := krr.Collect(gen, 20000)
 
-	lfu := krr.NewLFUStack(1)
-	for _, req := range tr.Reqs {
-		lfu.Process(req)
+	lfu, err := krr.NewModel("lfu", krr.ModelOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	lfuCurve := lfu.MRC()
+	for _, req := range tr.Reqs {
+		if err := lfu.Process(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lfuCurve := lfu.ObjectMRC()
 	if lfuCurve.Eval(10) <= lfuCurve.Eval(900) {
 		t.Fatal("LFU curve not decreasing")
 	}

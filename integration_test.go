@@ -5,12 +5,8 @@ import (
 	"testing"
 
 	"krr"
-	"krr/internal/aet"
-	"krr/internal/counterstacks"
-	"krr/internal/mimir"
 	"krr/internal/model"
 	"krr/internal/mrc"
-	"krr/internal/shards"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
@@ -43,39 +39,19 @@ func TestAllLRUModelsAgree(t *testing.T) {
 			return krr.BuildMRCWith("shards", tr.Reader(), model.Options{Seed: 2, SamplingRate: 0.3})
 		}},
 		{"shards-fixed-size", 0.05, func() (*mrc.Curve, error) {
-			s := shards.NewFixedSize(1.0, 4096, 3)
-			if err := s.ProcessAll(tr.Reader()); err != nil {
-				return nil, err
-			}
-			return s.MRC(), nil
+			return krr.BuildMRCWith("shards-fixedsize", tr.Reader(), model.Options{Seed: 3})
 		}},
 		{"aet", 0.05, func() (*mrc.Curve, error) {
-			m := aet.New(0)
-			if err := m.ProcessAll(tr.Reader()); err != nil {
-				return nil, err
-			}
-			return m.MRC(), nil
+			return krr.BuildMRCWith("aet", tr.Reader(), model.Options{})
 		}},
 		{"statstack", 0.05, func() (*mrc.Curve, error) {
-			m := aet.New(0)
-			if err := m.ProcessAll(tr.Reader()); err != nil {
-				return nil, err
-			}
-			return m.StatStackMRC(), nil
+			return krr.BuildMRCWith("statstack", tr.Reader(), model.Options{})
 		}},
 		{"counterstacks", 0.05, func() (*mrc.Curve, error) {
-			cs := counterstacks.New(counterstacks.Config{DownsampleInterval: 500, MaxCounters: 128})
-			if err := cs.ProcessAll(tr.Reader()); err != nil {
-				return nil, err
-			}
-			return cs.MRC(), nil
+			return krr.BuildMRCWith("counterstacks", tr.Reader(), model.Options{})
 		}},
 		{"mimir", 0.04, func() (*mrc.Curve, error) {
-			m := mimir.New(mimir.DefaultBuckets)
-			if err := m.ProcessAll(tr.Reader()); err != nil {
-				return nil, err
-			}
-			return m.MRC(), nil
+			return krr.BuildMRCWith("mimir", tr.Reader(), model.Options{})
 		}},
 		{"krr-huge-k", 0.03, func() (*mrc.Curve, error) {
 			// KRR converges to the LRU stack as K grows (§4.1).

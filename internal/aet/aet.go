@@ -17,9 +17,6 @@
 package aet
 
 import (
-	"errors"
-	"io"
-
 	"krr/internal/histogram"
 	"krr/internal/mrc"
 	"krr/internal/sampling"
@@ -50,16 +47,18 @@ func New(samplingRate float64) *Monitor {
 	return m
 }
 
-// Process feeds one request. Delete forgets the key (its next access
-// is a cold miss).
-func (m *Monitor) Process(req trace.Request) {
+// Process feeds one request and reports whether it passed the spatial
+// filter (always, when unsampled). Every request ticks the clock, so
+// reuse times stay in full-stream references. Delete forgets the key
+// (its next access is a cold miss).
+func (m *Monitor) Process(req trace.Request) bool {
 	m.clock++
 	if m.filter != nil && !m.filter.Sampled(req.Key) {
-		return
+		return false
 	}
 	if req.Op == trace.OpDelete {
 		delete(m.lastSeen, req.Key)
-		return
+		return true
 	}
 	if last, ok := m.lastSeen[req.Key]; ok {
 		m.hist.Add(m.clock - last)
@@ -68,20 +67,7 @@ func (m *Monitor) Process(req trace.Request) {
 		m.cold++
 	}
 	m.lastSeen[req.Key] = m.clock
-}
-
-// ProcessAll drains a reader.
-func (m *Monitor) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		m.Process(req)
-	}
+	return true
 }
 
 // References returns the number of sampled references.

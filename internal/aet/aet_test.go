@@ -8,15 +8,21 @@ import (
 	"krr/internal/workload"
 )
 
+// feed runs the first n requests of g through m.
+func feed(m *Monitor, g trace.Reader, n int) {
+	tr, _ := trace.Collect(g, n)
+	for _, req := range tr.Reqs {
+		m.Process(req)
+	}
+}
+
 func TestLoopTraceExact(t *testing.T) {
 	// A cyclic loop over M objects has every reuse time equal to M, so
 	// AET must reproduce the LRU step: miss ~1 below M, cold-ratio at M.
 	const m = 200
 	mon := New(0)
 	g := workload.NewLoop(m, nil)
-	if err := mon.ProcessAll(trace.LimitReader(g, m*30)); err != nil {
-		t.Fatal(err)
-	}
+	feed(mon, g, m*30)
 	c := mon.MRC()
 	if got := c.Eval(m / 2); got < 0.9 {
 		t.Fatalf("miss(M/2) = %v, want ~1", got)
@@ -31,9 +37,14 @@ func TestSpatialSamplingClose(t *testing.T) {
 	tr, _ := trace.Collect(g, 400000)
 
 	full := New(0)
-	full.ProcessAll(tr.Reader())
 	sampled := New(0.2)
-	sampled.ProcessAll(tr.Reader())
+	var passed uint64
+	for _, req := range tr.Reqs {
+		full.Process(req)
+		if sampled.Process(req) {
+			passed++
+		}
+	}
 
 	if sampled.References() >= full.References() {
 		t.Fatal("filter inactive")
@@ -41,6 +52,11 @@ func TestSpatialSamplingClose(t *testing.T) {
 	sizes := mrc.EvenSizes(50000, 20)
 	if mae := mrc.MAE(full.MRC(), sampled.MRC(), sizes); mae > 0.03 {
 		t.Fatalf("sampled vs full AET MAE %v", mae)
+	}
+	// The trace has no deletes, so every request that passed the filter
+	// is a sampled reference.
+	if passed != sampled.References() {
+		t.Fatalf("Process reported %d passed, monitor holds %d references", passed, sampled.References())
 	}
 }
 
@@ -64,7 +80,7 @@ func TestEmptyMonitor(t *testing.T) {
 func TestCurveMonotone(t *testing.T) {
 	g := workload.NewTwitterLike(9, workload.TwitterParams{Keys: 5000, Alpha: 1.1})
 	mon := New(0)
-	mon.ProcessAll(trace.LimitReader(g, 100000))
+	feed(mon, g, 100000)
 	c := mon.MRC()
 	for i := 1; i < c.Len(); i++ {
 		if c.Miss[i] > c.Miss[i-1]+1e-12 {

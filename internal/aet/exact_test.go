@@ -3,20 +3,20 @@ package aet_test
 import (
 	"testing"
 
-	"krr/internal/aet"
 	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
 
-// These tests check aet against the exact olken model. internal/model
-// imports aet, so they live outside the package.
+// These tests check the aet and statstack models against the exact
+// olken model. internal/model imports aet, so they live outside the
+// package.
 
-// exactLRU is the exact object curve of tr, from the olken model.
-func exactLRU(t *testing.T, tr *trace.Trace) *mrc.Curve {
+// replayed is the object curve of the named model over tr.
+func replayed(t *testing.T, name string, opts model.Options, tr *trace.Trace) *mrc.Curve {
 	t.Helper()
-	m, err := model.New("olken", model.Options{Seed: 1})
+	m, err := model.New(name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,15 +26,17 @@ func exactLRU(t *testing.T, tr *trace.Trace) *mrc.Curve {
 	return m.ObjectMRC()
 }
 
+// exactLRU is the exact object curve of tr, from the olken model.
+func exactLRU(t *testing.T, tr *trace.Trace) *mrc.Curve {
+	t.Helper()
+	return replayed(t, "olken", model.Options{Seed: 1}, tr)
+}
+
 func TestMatchesExactLRUOnZipf(t *testing.T) {
 	g := workload.NewZipf(3, 20000, 0.9, nil, 0)
 	tr, _ := trace.Collect(g, 300000)
 
-	mon := aet.New(0)
-	if err := mon.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	est := mon.MRC()
+	est := replayed(t, "aet", model.Options{}, tr)
 
 	truth := exactLRU(t, tr)
 
@@ -51,11 +53,8 @@ func TestMatchesExactLRUOnMSRLike(t *testing.T) {
 	})
 	tr, _ := trace.Collect(g, 200000)
 
-	mon := aet.New(0)
-	mon.ProcessAll(tr.Reader())
-
 	sizes := mrc.EvenSizes(8000, 20)
-	if mae := mrc.MAE(mon.MRC(), exactLRU(t, tr), sizes); mae > 0.05 {
+	if mae := mrc.MAE(replayed(t, "aet", model.Options{}, tr), exactLRU(t, tr), sizes); mae > 0.05 {
 		t.Fatalf("AET vs exact LRU on mixed trace MAE %v", mae)
 	}
 }
@@ -63,9 +62,7 @@ func TestMatchesExactLRUOnMSRLike(t *testing.T) {
 func TestStatStackMatchesExactLRU(t *testing.T) {
 	g := workload.NewZipf(11, 20000, 0.9, nil, 0)
 	tr, _ := trace.Collect(g, 300000)
-	mon := aet.New(0)
-	mon.ProcessAll(tr.Reader())
-	est := mon.StatStackMRC()
+	est := replayed(t, "statstack", model.Options{}, tr)
 
 	truth := exactLRU(t, tr)
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"krr/internal/mrc"
-	"krr/internal/trace"
 	"krr/internal/workload"
 )
 
@@ -12,7 +11,7 @@ func TestStatStackLoopExact(t *testing.T) {
 	const m = 300
 	mon := New(0)
 	g := workload.NewLoop(m, nil)
-	mon.ProcessAll(trace.LimitReader(g, m*20))
+	feed(mon, g, m*20)
 	c := mon.StatStackMRC()
 	if c.Eval(m/2) < 0.9 {
 		t.Fatalf("miss(M/2) = %v, want ~1", c.Eval(m/2))
@@ -29,7 +28,7 @@ func TestStatStackAgreesWithAET(t *testing.T) {
 		LoopLen: 1500, LoopRepeats: 2,
 	})
 	mon := New(0)
-	mon.ProcessAll(trace.LimitReader(g, 150000))
+	feed(mon, g, 150000)
 	sizes := mrc.EvenSizes(6000, 20)
 	if mae := mrc.MAE(mon.MRC(), mon.StatStackMRC(), sizes); mae > 0.03 {
 		t.Fatalf("AET vs StatStack MAE %v", mae)

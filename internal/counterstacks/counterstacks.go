@@ -8,13 +8,9 @@
 package counterstacks
 
 import (
-	"errors"
-	"io"
-
 	"krr/internal/hashing"
 	"krr/internal/histogram"
 	"krr/internal/hll"
-	"krr/internal/mrc"
 	"krr/internal/trace"
 )
 
@@ -61,7 +57,6 @@ type Stack struct {
 	counters []*counter // oldest first
 	hist     *histogram.Log
 	pending  int // requests in the current batch
-	seen     uint64
 }
 
 // New builds a Counter Stacks model.
@@ -79,7 +74,6 @@ func (s *Stack) Process(req trace.Request) {
 	if req.Op == trace.OpDelete {
 		return
 	}
-	s.seen++
 	h := hashing.Mix64(req.Key)
 	for _, c := range s.counters {
 		c.sketch.Add(h)
@@ -178,35 +172,13 @@ func (s *Stack) pruneIfNeeded() {
 	}
 }
 
-// Flush evaluates the current partial batch, if any. ProcessAll calls
-// it at EOF; streaming consumers that feed Process directly (the
-// model layer) call it once before reading the curve.
+// Flush evaluates the current partial batch, if any. A stream calls it
+// once, after its last Process, before reading Hist.
 func (s *Stack) Flush() {
 	if s.pending > 0 {
 		s.finishBatch()
 	}
 }
-
-// ProcessAll drains a reader and flushes the final partial batch.
-func (s *Stack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			s.Flush()
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// Counters returns the live counter count (memory proxy).
-func (s *Stack) Counters() int { return len(s.counters) }
-
-// Seen returns the number of processed requests.
-func (s *Stack) Seen() uint64 { return s.seen }
 
 // MemoryOverheadBytes estimates the model's resident metadata: the HLL
 // register arrays (the dominant term) plus the histogram.
@@ -215,17 +187,13 @@ func (s *Stack) MemoryOverheadBytes() uint64 {
 	return uint64(len(s.counters))*perCounter + s.hist.MemBytes()
 }
 
-// MRC returns the modeled exact-LRU miss ratio curve.
-func (s *Stack) MRC() *mrc.Curve {
-	return mrc.FromHistogram(s.hist, 1)
-}
-
 // SnapshotHist returns the stack-distance histogram the model would
 // hold if the stream ended now, without committing the current partial
 // batch: the batch is evaluated on a deep copy of the counters and
 // histogram, leaving the live state untouched so Process may continue.
 // At end-of-stream (after Flush, or with pending == 0) it returns the
-// live histogram itself, so a snapshot curve is bit-identical to MRC.
+// live histogram itself, so a snapshot curve is bit-identical to the
+// final one.
 func (s *Stack) SnapshotHist() *histogram.Log {
 	if s.pending == 0 {
 		return s.hist
@@ -235,19 +203,12 @@ func (s *Stack) SnapshotHist() *histogram.Log {
 		counters: make([]*counter, len(s.counters)),
 		hist:     s.hist.Clone(),
 		pending:  s.pending,
-		seen:     s.seen,
 	}
 	for i, c := range s.counters {
 		clone.counters[i] = &counter{sketch: c.sketch.Clone(), lastCount: c.lastCount}
 	}
 	clone.finishBatch()
 	return clone.hist
-}
-
-// SnapshotMRC returns the curve the model would produce if the stream
-// ended now (see SnapshotHist).
-func (s *Stack) SnapshotMRC() *mrc.Curve {
-	return mrc.FromHistogram(s.SnapshotHist(), 1)
 }
 
 // Hist exposes the stack-distance histogram.

@@ -6,9 +6,20 @@ import (
 
 	"krr/internal/hashing"
 	"krr/internal/hll"
+	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
+
+// replay runs every request of tr through s, flushes the final partial
+// batch, and returns the curve.
+func replay(s *Stack, tr *trace.Trace) *mrc.Curve {
+	for _, req := range tr.Reqs {
+		s.Process(req)
+	}
+	s.Flush()
+	return mrc.FromHistogram(s.Hist(), 1)
+}
 
 func TestHLLAccuracy(t *testing.T) {
 	for _, n := range []int{100, 10_000, 500_000} {
@@ -50,7 +61,7 @@ func TestConfigDefaults(t *testing.T) {
 	if s.cfg.DownsampleInterval != 1000 || s.cfg.MaxCounters != 64 {
 		t.Fatalf("defaults: %+v", s.cfg)
 	}
-	if s.Counters() != 1 {
+	if len(s.counters) != 1 {
 		t.Fatal("must start with the permanent oldest counter")
 	}
 }
@@ -60,11 +71,8 @@ func TestLoopTrace(t *testing.T) {
 	// M and low at/above it.
 	const m = 2000
 	s := New(Config{DownsampleInterval: 200})
-	g := workload.NewLoop(m, nil)
-	if err := s.ProcessAll(trace.LimitReader(g, m*15)); err != nil {
-		t.Fatal(err)
-	}
-	c := s.MRC()
+	tr, _ := trace.Collect(workload.NewLoop(m, nil), m*15)
+	c := replay(s, tr)
 	if lo := c.Eval(m / 3); lo < 0.7 {
 		t.Fatalf("miss(M/3) = %v, want high", lo)
 	}
@@ -75,22 +83,21 @@ func TestLoopTrace(t *testing.T) {
 
 func TestPruningBoundsCounters(t *testing.T) {
 	s := New(Config{DownsampleInterval: 100, MaxCounters: 8})
-	g := workload.NewZipf(5, 5000, 1.0, nil, 0)
-	if err := s.ProcessAll(trace.LimitReader(g, 50000)); err != nil {
-		t.Fatal(err)
+	tr, _ := trace.Collect(workload.NewZipf(5, 5000, 1.0, nil, 0), 50000)
+	replay(s, tr)
+	if len(s.counters) > 8 {
+		t.Fatalf("counters %d exceed cap", len(s.counters))
 	}
-	if s.Counters() > 8 {
-		t.Fatalf("counters %d exceed cap", s.Counters())
-	}
-	if s.Seen() != 50000 {
-		t.Fatalf("seen %d", s.Seen())
+	// 50000 references fill their 100-request batches exactly.
+	if s.pending != 0 {
+		t.Fatalf("%d requests left pending", s.pending)
 	}
 }
 
 func TestDeleteIgnored(t *testing.T) {
 	s := New(Config{DownsampleInterval: 10})
 	s.Process(trace.Request{Key: 1, Op: trace.OpDelete})
-	if s.Seen() != 0 {
+	if s.pending != 0 {
 		t.Fatal("deletes must not count as references")
 	}
 }
@@ -101,10 +108,7 @@ func TestPartialBatchFlushed(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		tr.Append(trace.Request{Key: uint64(i % 10), Size: 1})
 	}
-	if err := s.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	c := s.MRC()
+	c := replay(s, tr)
 	// 10 distinct keys referenced 15× each: the curve must show hits
 	// at small sizes.
 	if c.Eval(50) > 0.5 {

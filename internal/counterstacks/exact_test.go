@@ -31,10 +31,11 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 	tr, _ := trace.Collect(g, 300000)
 
 	s := counterstacks.New(counterstacks.Config{DownsampleInterval: 500, MaxCounters: 128})
-	if err := s.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
+	for _, req := range tr.Reqs {
+		s.Process(req)
 	}
-	est := s.MRC()
+	s.Flush()
+	est := mrc.FromHistogram(s.Hist(), 1)
 
 	truth := exactLRU(t, tr)
 

@@ -101,8 +101,8 @@ func runExtMinisim(opt Options) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	if err := sim.ProcessAll(tr.Reader()); err != nil {
-		return nil, err
+	for _, req := range tr.Reqs {
+		sim.Process(req)
 	}
 	mTime := time.Since(start)
 	mini := sim.MRC()

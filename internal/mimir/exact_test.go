@@ -3,20 +3,19 @@ package mimir_test
 import (
 	"testing"
 
-	"krr/internal/mimir"
 	"krr/internal/model"
 	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 )
 
-// This test checks mimir against the exact olken model.
+// This test checks the mimir model against the exact olken model.
 // internal/model imports mimir, so it lives outside the package.
 
-// exactLRU is the exact object curve of tr, from the olken model.
-func exactLRU(t *testing.T, tr *trace.Trace) *mrc.Curve {
+// replayed is the object curve of the named model over tr.
+func replayed(t *testing.T, name string, opts model.Options, tr *trace.Trace) *mrc.Curve {
 	t.Helper()
-	m, err := model.New("olken", model.Options{Seed: 1})
+	m, err := model.New(name, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +29,9 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 	g := workload.NewZipf(3, 20000, 0.8, nil, 0)
 	tr, _ := trace.Collect(g, 300000)
 
-	s := mimir.New(mimir.DefaultBuckets)
-	if err := s.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	est := s.MRC()
+	est := replayed(t, "mimir", model.Options{}, tr)
 
-	truth := exactLRU(t, tr)
+	truth := replayed(t, "olken", model.Options{Seed: 1}, tr)
 
 	sizes := mrc.EvenSizes(20000, 25)
 	if mae := mrc.MAE(est, truth, sizes); mae > 0.03 {

@@ -7,11 +7,7 @@
 package mimir
 
 import (
-	"errors"
-	"io"
-
 	"krr/internal/histogram"
-	"krr/internal/mrc"
 	"krr/internal/trace"
 )
 
@@ -45,12 +41,6 @@ func New(buckets int) *Stack {
 		hist:       histogram.NewDense(1024),
 	}
 }
-
-// Len returns the number of tracked objects.
-func (s *Stack) Len() int { return len(s.pos) }
-
-// Buckets returns the active bucket count.
-func (s *Stack) Buckets() int { return len(s.counts) }
 
 // newestID returns the id of the most recent bucket.
 func (s *Stack) newestID() uint64 { return s.oldest + uint64(len(s.counts)) - 1 }
@@ -126,23 +116,6 @@ func (s *Stack) Process(req trace.Request) {
 	}
 	s.Reference(req.Key)
 }
-
-// ProcessAll drains a reader.
-func (s *Stack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the modeled exact-LRU miss ratio curve.
-func (s *Stack) MRC() *mrc.Curve { return mrc.FromHistogram(s.hist, 1) }
 
 // Hist exposes the stack distance histogram.
 func (s *Stack) Hist() *histogram.Dense { return s.hist }

@@ -3,6 +3,7 @@ package mimir
 import (
 	"testing"
 
+	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
@@ -28,28 +29,30 @@ func TestBucketBudgetRespected(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		s.Reference(src.Uint64n(5000))
 	}
-	if s.Buckets() > 16 {
-		t.Fatalf("buckets %d exceed budget", s.Buckets())
+	if len(s.counts) > 16 {
+		t.Fatalf("buckets %d exceed budget", len(s.counts))
 	}
-	if s.Len() > 5000 {
-		t.Fatalf("tracked %d objects", s.Len())
+	if len(s.pos) > 5000 {
+		t.Fatalf("tracked %d objects", len(s.pos))
 	}
 	// Population conservation: bucket counts sum to tracked objects.
 	var sum uint64
 	for _, c := range s.counts {
 		sum += c
 	}
-	if sum != uint64(s.Len()) {
-		t.Fatalf("bucket counts %d != tracked %d", sum, s.Len())
+	if sum != uint64(len(s.pos)) {
+		t.Fatalf("bucket counts %d != tracked %d", sum, len(s.pos))
 	}
 }
 
 func TestLoopTrace(t *testing.T) {
 	const m = 5000
 	s := New(DefaultBuckets)
-	g := workload.NewLoop(m, nil)
-	s.ProcessAll(trace.LimitReader(g, m*10))
-	c := s.MRC()
+	tr, _ := trace.Collect(workload.NewLoop(m, nil), m*10)
+	for _, req := range tr.Reqs {
+		s.Process(req)
+	}
+	c := mrc.FromHistogram(s.Hist(), 1)
 	if c.Eval(m/2) < 0.9 {
 		t.Fatalf("miss(M/2) = %v", c.Eval(m/2))
 	}
@@ -64,7 +67,7 @@ func TestDelete(t *testing.T) {
 	if !s.Delete(1) || s.Delete(1) {
 		t.Fatal("delete semantics")
 	}
-	if s.Len() != 0 {
+	if len(s.pos) != 0 {
 		t.Fatal("object not removed")
 	}
 	if _, cold := s.Reference(1); !cold {

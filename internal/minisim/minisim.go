@@ -9,7 +9,6 @@ package minisim
 
 import (
 	"errors"
-	"io"
 
 	"krr/internal/mrc"
 	"krr/internal/sampling"
@@ -62,22 +61,15 @@ func New(cfg Config) (*Sim, error) {
 		s.filter = sampling.NewRate(cfg.Rate)
 	}
 	for i, size := range cfg.Sizes {
-		mini := int(float64(size)*cfg.Rate + 0.5)
-		if mini < 1 {
-			mini = 1
-		}
-		s.caches[i] = simulator.NewKLRU(simulator.ObjectCapacity(mini), cfg.K, true, cfg.Seed+uint64(i)*97+1)
+		s.caches[i] = simulator.NewKLRU(simulator.ObjectCapacity(miniCapacity(size, cfg.Rate)), cfg.K, true, cfg.Seed+uint64(i)*97+1)
 	}
 	return s, nil
 }
 
-// MiniCapacity returns the miniature capacity emulating full size i.
-func (s *Sim) MiniCapacity(i int) int {
-	mini := int(float64(s.cfg.Sizes[i])*s.cfg.Rate + 0.5)
-	if mini < 1 {
-		mini = 1
-	}
-	return mini
+// miniCapacity is the miniature capacity emulating full size size at
+// the given rate: max(1, round(size·rate)).
+func miniCapacity(size uint64, rate float64) int {
+	return max(1, int(float64(size)*rate+0.5))
 }
 
 // Process feeds one request to every miniature cache (if sampled).
@@ -96,20 +88,6 @@ func (s *Sim) Process(req trace.Request) {
 		} else {
 			s.misses[i]++
 		}
-	}
-}
-
-// ProcessAll drains a reader.
-func (s *Sim) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
 	}
 }
 

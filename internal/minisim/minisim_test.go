@@ -24,15 +24,18 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestMiniCapacityFloor(t *testing.T) {
-	s, err := New(Config{Sizes: []uint64{3, 10000}, Rate: 0.01, K: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	if got := miniCapacity(3, 0.01); got != 1 {
+		t.Fatalf("tiny size must floor to 1, got %d", got)
 	}
-	if s.MiniCapacity(0) != 1 {
-		t.Fatalf("tiny size must floor to 1, got %d", s.MiniCapacity(0))
+	if got := miniCapacity(10000, 0.01); got != 100 {
+		t.Fatalf("mini capacity = %d, want 100", got)
 	}
-	if s.MiniCapacity(1) != 100 {
-		t.Fatalf("mini capacity = %d, want 100", s.MiniCapacity(1))
+}
+
+// replay runs every request of tr through s.
+func replay(s *Sim, tr *trace.Trace) {
+	for _, req := range tr.Reqs {
+		s.Process(req)
 	}
 }
 
@@ -51,9 +54,7 @@ func TestMatchesFullKLRUSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
+	replay(sim, tr)
 	mini := sim.MRC()
 
 	full, err := simulator.KLRUMRC(tr, k, sizes, 11, 0)
@@ -74,7 +75,7 @@ func TestRateOneIsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.ProcessAll(tr.Reader())
+	replay(sim, tr)
 	full, _ := simulator.KLRUMRC(tr, 3, sizes, 2, 0)
 	if mae := mrc.MAE(sim.MRC(), full, sizes); mae > 0.02 {
 		t.Fatalf("rate-1 minisim MAE %v", mae)
@@ -86,6 +87,25 @@ func TestEmptyStreamAllMiss(t *testing.T) {
 	c := sim.MRC()
 	if c.Eval(100) != 1 {
 		t.Fatal("no data must mean all-miss")
+	}
+}
+
+// TestSimCurveHasOnePointPerSize: the curve carries one breakpoint per
+// configured size.
+func TestSimCurveHasOnePointPerSize(t *testing.T) {
+	sizes := mrc.EvenSizes(2000, 5)
+	sim, err := New(Config{Sizes: sizes, Rate: 0.5, K: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ok := workload.ByName("zipf")
+	if !ok {
+		t.Fatal("missing zipf preset")
+	}
+	tr, _ := trace.Collect(p.New(0.02, 3, false), 30000)
+	replay(sim, tr)
+	if sim.MRC().Len() != len(sizes) {
+		t.Fatal("minisim curve malformed")
 	}
 }
 

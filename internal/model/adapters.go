@@ -5,7 +5,6 @@ import (
 	"krr/internal/cheform"
 	"krr/internal/core"
 	"krr/internal/counterstacks"
-	"krr/internal/hashing"
 	"krr/internal/histogram"
 	"krr/internal/mimir"
 	"krr/internal/mrc"
@@ -18,8 +17,8 @@ import (
 )
 
 // streamModel is the one adapter shape every registered model is
-// expressed in: a spatial filter (external, applied here, or internal
-// to the technique and mirrored only for the Sampled counter), a
+// expressed in: one spatial filter (applied here, or owned by the
+// technique's kernel, which then reports its own decision), a
 // per-request process function, an optional finalization flush, and
 // curve constructors. Models whose object curve is one dense histogram's
 // (the CapSharded ones) hold that histogram instead of an object curve
@@ -30,11 +29,15 @@ type streamModel struct {
 	// used by models with no sampling of their own; their curves are
 	// rescaled by 1/rate.
 	filter *sampling.Filter
-	// admit, when non-nil, mirrors an internal filter's admission
-	// decision purely for the Sampled counter (aet, shards-fixedsize).
-	admit   func(key uint64) bool
+	// process handles one request that passed filter. Unused when
+	// sample is set.
 	process func(trace.Request)
-	flush   func() // optional; runs once at finalization
+	// sample, when non-nil, replaces process for a kernel that owns its
+	// filter (sampled aet and statstack, shards-fixedsize): it takes
+	// every request and reports whether the request passed, which is
+	// what Sampled counts.
+	sample func(trace.Request) bool
+	flush  func() // optional; runs once at finalization
 	// objCurve builds the object curve; nil when objDense is set.
 	objCurve  func() *mrc.Curve
 	byteCurve func() *mrc.Curve // nil = byte curves off or unsupported
@@ -70,14 +73,16 @@ func (m *streamModel) Process(req trace.Request) error {
 		return err
 	}
 	m.seen.Inc()
-	if m.filter != nil {
-		if !m.filter.Sampled(req.Key) {
-			return nil
+	switch {
+	case m.sample != nil:
+		if m.sample(req) {
+			m.sampled.Inc()
 		}
-		m.sampled.Inc()
-	} else if m.admit == nil || m.admit(req.Key) {
-		m.sampled.Inc()
+		return nil
+	case m.filter != nil && !m.filter.Sampled(req.Key):
+		return nil
 	}
+	m.sampled.Inc()
 	m.process(req)
 	return nil
 }
@@ -86,8 +91,7 @@ func (m *streamModel) Process(req trace.Request) error {
 // request, with one guard and one add per stream counter for the whole
 // batch. The admission mode is chosen once per batch, not re-read per
 // request: with a kernel as cheap as aet's the per-request re-check
-// was measurable. Models with an admit mirror still process every
-// request; only the Sampled count consults it.
+// was measurable. Unsampled models, aet included, take the plain loop.
 func (m *streamModel) ProcessBatch(reqs []trace.Request) error {
 	if err := m.guard(); err != nil {
 		return err
@@ -103,13 +107,12 @@ func (m *streamModel) ProcessBatch(reqs []trace.Request) error {
 				m.process(req)
 			}
 		}
-	case m.admit != nil:
+	case m.sample != nil:
 		admitted = 0
 		for _, req := range reqs {
-			if m.admit(req.Key) {
+			if m.sample(req) {
 				admitted++
 			}
-			m.process(req)
 		}
 	default:
 		for _, req := range reqs {
@@ -425,10 +428,7 @@ func newShardsFixedSize(o Options) (Model, error) {
 	}
 	s := shards.NewFixedSize(start, DefaultFixedSizeObjects, o.Seed)
 	return &streamModel{
-		admit: func(key uint64) bool {
-			return hashing.Mix64(key)%sampling.Modulus < s.Threshold()
-		},
-		process:   s.Process,
+		sample:    s.Process,
 		objCurve:  s.MRC,
 		footprint: s.MemoryOverheadBytes,
 	}, nil
@@ -440,18 +440,20 @@ func newShardsFixedSize(o Options) (Model, error) {
 // spatial filter stays inside the monitor: AET measures reuse times in
 // full-stream references, so the clock must tick on unsampled
 // requests too (which is also why its curves need no rescaling).
+// Unsampled, the monitor admits everything and takes the plain
+// process path.
 func newAETMonitor(o Options, curve func(*aet.Monitor) *mrc.Curve) (Model, error) {
 	mon := aet.New(o.SamplingRate)
-	var admit func(uint64) bool
-	if o.sampled() {
-		admit = sampling.NewRate(o.SamplingRate).Sampled
-	}
-	return &streamModel{
-		admit:     admit,
-		process:   mon.Process,
+	m := &streamModel{
 		objCurve:  func() *mrc.Curve { return curve(mon) },
 		footprint: mon.MemoryOverheadBytes,
-	}, nil
+	}
+	if o.sampled() {
+		m.sample = mon.Process
+	} else {
+		m.process = func(req trace.Request) { mon.Process(req) }
+	}
+	return m, nil
 }
 
 func newAET(o Options) (Model, error) {

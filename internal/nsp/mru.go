@@ -1,11 +1,7 @@
 package nsp
 
 import (
-	"errors"
-	"io"
-
 	"krr/internal/histogram"
-	"krr/internal/mrc"
 	"krr/internal/trace"
 )
 
@@ -48,9 +44,6 @@ func NewMRU() *MRUStack {
 	}
 }
 
-// Len returns the number of distinct objects seen.
-func (s *MRUStack) Len() int { return len(s.keys) }
-
 // Reference processes one access and returns its MRU stack distance
 // (1-based depth before the update; cold references have none).
 func (s *MRUStack) Reference(key uint64) Result {
@@ -85,23 +78,6 @@ func (s *MRUStack) Process(req trace.Request) {
 	}
 	s.Reference(req.Key)
 }
-
-// ProcessAll drains a reader.
-func (s *MRUStack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the MRU miss ratio curve.
-func (s *MRUStack) MRC() *mrc.Curve { return mrc.FromHistogram(s.hist, 1) }
 
 // Hist exposes the stack distance histogram.
 func (s *MRUStack) Hist() *histogram.Dense { return s.hist }

@@ -28,11 +28,7 @@
 package nsp
 
 import (
-	"errors"
-	"io"
-
 	"krr/internal/histogram"
-	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/xrand"
 )
@@ -124,9 +120,6 @@ func New(policy Policy, seed uint64) *Stack {
 		hist:   histogram.NewDense(1024),
 	}
 }
-
-// Len returns the number of distinct objects seen.
-func (s *Stack) Len() int { return len(s.counts) }
 
 // insert adds a priority to the treap.
 func (s *Stack) insert(p [2]uint64) {
@@ -289,23 +282,6 @@ func (s *Stack) Process(req trace.Request) {
 	}
 	s.Reference(req.Key)
 }
-
-// ProcessAll drains a reader.
-func (s *Stack) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
-}
-
-// MRC returns the policy's miss ratio curve.
-func (s *Stack) MRC() *mrc.Curve { return mrc.FromHistogram(s.hist, 1) }
 
 // Hist exposes the stack distance histogram.
 func (s *Stack) Hist() *histogram.Dense { return s.hist }

@@ -4,10 +4,23 @@ import (
 	"sort"
 	"testing"
 
+	"krr/internal/histogram"
+	"krr/internal/mrc"
 	"krr/internal/trace"
 	"krr/internal/workload"
 	"krr/internal/xrand"
 )
+
+// replay runs every request of tr through s and returns its curve.
+func replay(s interface {
+	Process(trace.Request)
+	Hist() *histogram.Dense
+}, tr *trace.Trace) *mrc.Curve {
+	for _, req := range tr.Reqs {
+		s.Process(req)
+	}
+	return mrc.FromHistogram(s.Hist(), 1)
+}
 
 // naiveNSP computes the same distances by brute force: position 1 is
 // the previously referenced object, positions 2.. are every other
@@ -131,11 +144,7 @@ func TestLFUMRCMatchesSimulation(t *testing.T) {
 	g := workload.NewZipf(3, 1500, 1.0, nil, 0)
 	tr, _ := trace.Collect(g, 40000)
 
-	s := New(LFU{}, 1)
-	if err := s.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
-	}
-	curve := s.MRC()
+	curve := replay(New(LFU{}, 1), tr)
 
 	for _, c := range []int{100, 400, 800, 1200} {
 		sim := perfectLFUMiss(tr, c)
@@ -149,10 +158,8 @@ func TestLFUMRCMatchesSimulation(t *testing.T) {
 func TestLFUKeepsHotHeadCheap(t *testing.T) {
 	// Zipf traffic: LFU's miss ratio at a small cache must be low —
 	// the head keys have the highest counts and are never evicted.
-	g := workload.NewZipf(5, 10000, 1.2, nil, 0)
-	s := New(LFU{}, 1)
-	s.ProcessAll(trace.LimitReader(g, 150000))
-	c := s.MRC()
+	tr, _ := trace.Collect(workload.NewZipf(5, 10000, 1.2, nil, 0), 150000)
+	c := replay(New(LFU{}, 1), tr)
 	if c.Eval(500) > 0.45 {
 		t.Fatalf("LFU miss at 5%% of keys = %v, too high for zipf 1.2", c.Eval(500))
 	}
@@ -208,11 +215,7 @@ func TestMRUMatchesExactSimulation(t *testing.T) {
 	zg := workload.NewZipf(11, 400, 0.9, nil, 0)
 	traces["zipf"], _ = trace.Collect(zg, 5000)
 	for name, tr := range traces {
-		s := NewMRU()
-		if err := s.ProcessAll(tr.Reader()); err != nil {
-			t.Fatal(err)
-		}
-		curve := s.MRC()
+		curve := replay(NewMRU(), tr)
 		for _, c := range []int{5, 40, 75, 120, 149} {
 			sim := perfectMRUMiss(tr, c)
 			model := curve.Eval(uint64(c))
@@ -249,10 +252,8 @@ func TestMRUOnLoop(t *testing.T) {
 	// MRU on a loop of M keys settles into uniform distances over
 	// 2..M: miss at capacity c ≈ (M-c)/M once warm.
 	const m = 200
-	g := workload.NewLoop(m, nil)
-	s := NewMRU()
-	s.ProcessAll(trace.LimitReader(g, m*40))
-	c := s.MRC()
+	tr, _ := trace.Collect(workload.NewLoop(m, nil), m*40)
+	c := replay(NewMRU(), tr)
 	missHalf := c.Eval(m / 2)
 	if missHalf < 0.4 || missHalf > 0.62 {
 		t.Fatalf("MRU miss at M/2 = %v; expected ~(M-c)/M ≈ 0.5 behaviour", missHalf)
@@ -262,7 +263,7 @@ func TestMRUOnLoop(t *testing.T) {
 func TestDeleteIgnored(t *testing.T) {
 	s := New(LFU{}, 1)
 	s.Process(trace.Request{Key: 1, Op: trace.OpDelete})
-	if s.Len() != 0 {
+	if len(s.counts) != 0 {
 		t.Fatal("delete must be ignored")
 	}
 }

@@ -134,8 +134,8 @@ func TestFixedRateAdjustBulkMatchesLoop(t *testing.T) {
 func TestFixedSizeCurveReasonable(t *testing.T) {
 	tr := zipfTrace(9, 30000, 200000)
 	s := shards.NewFixedSize(1.0, 2000, 4)
-	if err := s.ProcessAll(tr.Reader()); err != nil {
-		t.Fatal(err)
+	for _, req := range tr.Reqs {
+		s.Process(req)
 	}
 	sizes := mrc.EvenSizes(30000, 20)
 	if mae := mrc.MAE(exactLRU(t, tr), s.MRC(), sizes); mae > 0.06 {

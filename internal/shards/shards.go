@@ -13,9 +13,6 @@
 package shards
 
 import (
-	"errors"
-	"io"
-
 	"krr/internal/hashing"
 	"krr/internal/mrc"
 	"krr/internal/olken"
@@ -76,13 +73,6 @@ func (s *FixedSize) Rate() float64 {
 	return float64(s.threshold) / sampling.Modulus
 }
 
-// Threshold returns the current sampling threshold T (the condition
-// is hash mod P < T).
-func (s *FixedSize) Threshold() uint64 { return s.threshold }
-
-// TrackedObjects returns the current sample-set size.
-func (s *FixedSize) TrackedObjects() int { return s.stack.Len() }
-
 // MemoryOverheadBytes estimates the model's resident metadata: the
 // bounded Olken stack, the liveness map, the shrink heap and the dense
 // weight array.
@@ -94,17 +84,18 @@ func (s *FixedSize) MemoryOverheadBytes() uint64 {
 		uint64(cap(s.hist))*8
 }
 
-// Process feeds one request.
-func (s *FixedSize) Process(req trace.Request) {
+// Process feeds one request and reports whether it passed the
+// sampling threshold in force when it arrived.
+func (s *FixedSize) Process(req trace.Request) bool {
 	h := hashing.Mix64(req.Key) % sampling.Modulus
 	if h >= s.threshold {
-		return
+		return false
 	}
 	if req.Op == trace.OpDelete {
 		if s.stack.Delete(req.Key) {
 			delete(s.hashes, req.Key)
 		}
-		return
+		return true
 	}
 	rate := s.Rate()
 	res := s.stack.Reference(req.Key, req.Size)
@@ -117,7 +108,7 @@ func (s *FixedSize) Process(req trace.Request) {
 		s.pushHash(hashEntry{h: h, key: req.Key})
 		s.coldW += w
 		s.shrinkIfNeeded()
-		return
+		return true
 	}
 	d := uint64(float64(res.Distance)/rate + 0.5)
 	if d == 0 {
@@ -127,6 +118,7 @@ func (s *FixedSize) Process(req trace.Request) {
 		s.hist = append(s.hist, make([]float64, need-len(s.hist))...)
 	}
 	s.hist[d] += w
+	return true
 }
 
 // shrinkIfNeeded lowers the threshold until the sample set fits sMax,
@@ -189,20 +181,6 @@ func (s *FixedSize) popHash() hashEntry {
 		i = c
 	}
 	return top
-}
-
-// ProcessAll drains a reader.
-func (s *FixedSize) ProcessAll(r trace.Reader) error {
-	for {
-		req, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		s.Process(req)
-	}
 }
 
 // MRC returns the approximated exact-LRU curve.

@@ -16,11 +16,15 @@ func TestFixedSizeBoundsSampleSet(t *testing.T) {
 	const sMax = 500
 	s := NewFixedSize(1.0, sMax, 3)
 	g := workload.NewZipf(7, 100000, 0.8, nil, 0)
-	if err := s.ProcessAll(trace.LimitReader(g, 200000)); err != nil {
+	tr, err := trace.Collect(g, 200000)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.TrackedObjects() > sMax {
-		t.Fatalf("tracked %d > sMax %d", s.TrackedObjects(), sMax)
+	for _, req := range tr.Reqs {
+		s.Process(req)
+	}
+	if s.stack.Len() > sMax {
+		t.Fatalf("tracked %d > sMax %d", s.stack.Len(), sMax)
 	}
 	if s.Rate() >= 1.0 {
 		t.Fatal("rate must have been lowered")
@@ -31,7 +35,7 @@ func TestFixedSizeDeleteHandling(t *testing.T) {
 	s := NewFixedSize(1.0, 100, 1)
 	s.Process(trace.Request{Key: 1, Size: 1, Op: trace.OpGet})
 	s.Process(trace.Request{Key: 1, Op: trace.OpDelete})
-	if s.TrackedObjects() != 0 {
+	if s.stack.Len() != 0 {
 		t.Fatal("delete must remove from sample set")
 	}
 	// Unknown key delete is a no-op.
@@ -149,7 +153,8 @@ func (s *slowFixedSize) mrc() *mrc.Curve {
 // deletes and sample caps small enough to force many threshold
 // shrinks. Eviction order differs between the two (hash-sorted heap
 // pops vs map iteration), so this also certifies that eviction order
-// cannot affect the curve.
+// cannot affect the curve. Process must also report the reference's
+// own threshold test for every request.
 func TestFixedSizeMatchesMapReference(t *testing.T) {
 	for _, tc := range []struct {
 		seed uint64
@@ -167,15 +172,18 @@ func TestFixedSizeMatchesMapReference(t *testing.T) {
 		}
 		fast := NewFixedSize(1.0, tc.sMax, 7)
 		slow := newSlowFixedSize(1.0, tc.sMax, 7)
-		for _, req := range tr.Reqs {
-			fast.Process(req)
+		for i, req := range tr.Reqs {
+			want := hashing.Mix64(req.Key)%sampling.Modulus < slow.threshold
+			if got := fast.Process(req); got != want {
+				t.Fatalf("seed %d request %d: Process reported %v, reference threshold test %v", tc.seed, i, got, want)
+			}
 			slow.process(req)
 		}
-		if fast.Threshold() != slow.threshold {
-			t.Fatalf("seed %d: threshold %d vs reference %d", tc.seed, fast.Threshold(), slow.threshold)
+		if fast.threshold != slow.threshold {
+			t.Fatalf("seed %d: threshold %d vs reference %d", tc.seed, fast.threshold, slow.threshold)
 		}
-		if fast.TrackedObjects() != slow.stack.Len() {
-			t.Fatalf("seed %d: tracked %d vs reference %d", tc.seed, fast.TrackedObjects(), slow.stack.Len())
+		if fast.stack.Len() != slow.stack.Len() {
+			t.Fatalf("seed %d: tracked %d vs reference %d", tc.seed, fast.stack.Len(), slow.stack.Len())
 		}
 		got, want := fast.MRC(), slow.mrc()
 		if len(got.Sizes) != len(want.Sizes) {

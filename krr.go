@@ -9,10 +9,12 @@
 //
 // The package is a facade over the implementation packages:
 //
-//   - Models (internal/model) — the unified streaming layer: every
-//     MRC technique (KRR, Olken, SHARDS, AET, Counter Stacks, MIMIR,
-//     NSP) behind one Model interface and name→factory registry; see
-//     Models, NewModel, BuildMRC and BuildMRCWith. The KRR models
+//   - Models (internal/model) — the unified streaming layer and the
+//     only way to build a model: every MRC technique (KRR, Olken,
+//     SHARDS, AET, StatStack, Counter Stacks, MIMIR, NSP LFU/MRU,
+//     Che/Fagin) behind one Model interface and name→factory registry;
+//     see Models, NewModel, BuildMRC and BuildMRCWith. The facade
+//     exports no technique kernel of its own. The KRR models
 //     (krr, krr-topdown, krr-linear, krr-bucket) wrap the stacks of
 //     internal/core with SHARDS-style spatial sampling and, for krr*,
 //     byte-granularity distances for variable object sizes.
