@@ -43,8 +43,8 @@ if [ "${1:-}" = "fast" ]; then
 	go test ./...
 	echo "== krr-bucket key table vs slot-arena reference (oracle)"
 	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete' ./internal/core/
-	echo "== krr and baseline models vs digests recorded from the former wrappers (oracle); shards at rate 1 is olken"
-	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence' ./internal/model/
+	echo "== every model vs recorded digests (oracle); exact Sampled counts and one filter per model; shards at rate 1 is olken"
+	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
 	go test -count=1 -run 'TestDecisionLogMatchesRecordedDigest|TestShadowModelsKeepStreamingAcrossDecisions' ./internal/dlru/
 	go test -count=1 -run 'TestKPrimeAblationMatchesRecordedDigests' ./internal/experiments/
 	echo "== model conformance + snapshots + histogram reads (-race)"
@@ -88,7 +88,7 @@ go test -count=1 -run 'TestReadResponsesMatchSnapshotPath|TestAllocateReadsEachT
 echo "== bench smoke (Table 5.3, 100x)"
 go test -run=NONE -bench=Table5_3 -benchtime=100x .
 
-echo "== KRR hot-path A/B guard (interleaved ratios vs aet)"
+echo "== KRR hot-path A/B guard (median of interleaved paired ratios vs aet)"
 KRR_BENCH_GUARD=1 go test -count=1 -run TestKRRHotPathABGuard .
 
 echo "check.sh: OK"
