@@ -109,10 +109,11 @@ func main() {
 		if err := model.ProcessAll(m, tr.Reader()); err != nil {
 			fatal(err)
 		}
+		snap := m.Snapshot()
+		m.Close()
+		curve = snap.Object
 		if bm != model.BytesOff {
-			curve = m.ByteMRC()
-		} else {
-			curve = m.ObjectMRC()
+			curve = snap.Byte
 		}
 	}
 

@@ -30,7 +30,8 @@
 //	GET    /tenants/{id}/curve    the full curve as JSON; ?points=N
 //	                              downsamples, &unit=bytes selects the
 //	                              byte curve.
-//	GET    /tenants/{id}/stats    stream counters.
+//	GET    /tenants/{id}/stats    stream counters (seen, sampled),
+//	                              cached footprint and uptime.
 //	GET    /allocate?budget=N     waterfill partitioning of budget
 //	                              across all live tenants, with
 //	                              proportional-by-traffic and uniform
@@ -73,7 +74,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -229,9 +229,7 @@ func newServer(cfg fleet.Config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c, ok := probe.(io.Closer); ok {
-		_ = c.Close() // sharded probes hold worker goroutines
-	}
+	_ = probe.Close() // sharded probes hold worker goroutines; Close never fails
 	s := &server{
 		reg:   fleet.NewRegistry(cfg),
 		start: time.Now(),
@@ -549,7 +547,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"tenant":          id,
 		"seen":            st.Seen,
 		"sampled":         st.Sampled,
-		"finalized":       st.Finalized,
 		"footprint_bytes": ten.Footprint(),
 		"uptime_seconds":  time.Since(s.start).Seconds(),
 	})
@@ -619,10 +616,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// writeFinal finalizes ingest and writes the default tenant's finished
-// curve JSON to path ("" or "-" = stdout). By the snapshot contract
-// this equals the last snapshot bit-for-bit if no requests arrived in
-// between.
+// writeFinal refuses further ingest and writes a snapshot of the
+// default tenant's object curve as JSON to path ("" or "-" = stdout).
+// It runs after both front ends have drained, so the curve covers every
+// request they ingested; it equals the last snapshot served bit for bit
+// if no request arrived in between.
 func (s *server) writeFinal(path string) error {
 	s.final.Store(true)
 	c := &mrc.Curve{Sizes: []uint64{0}, Miss: []float64{1}, Interp: mrc.InterpStep}

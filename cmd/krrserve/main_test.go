@@ -111,7 +111,7 @@ func TestIngestNDJSONAndMRC(t *testing.T) {
 		t.Fatalf("miss ratio %v out of range", point.MissRatio)
 	}
 
-	// Snapshots must not finalize: a second ingest still succeeds.
+	// A snapshot leaves the tenant live: a second ingest still succeeds.
 	resp = post(t, ts.URL+"/tenants/default/ingest", "application/x-ndjson", "{\"key\": 1}\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-snapshot ingest status %d", resp.StatusCode)
@@ -333,13 +333,12 @@ func TestStatsAndHealth(t *testing.T) {
 	resp := get(t, ts.URL+"/tenants/default/stats")
 	var st struct {
 		Seen      uint64 `json:"seen"`
-		Finalized bool   `json:"finalized"`
 		Footprint int64  `json:"footprint_bytes"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Seen != 1 || st.Finalized {
+	if st.Seen != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.Footprint <= 0 {

@@ -94,9 +94,7 @@ func TestReadResponsesMatchSnapshotPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		snaps[spec.ID] = ref.Snapshot()
-		if c, ok := ref.(io.Closer); ok {
-			c.Close()
-		}
+		ref.Close()
 	}
 
 	for _, spec := range readTenants {

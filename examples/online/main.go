@@ -6,8 +6,8 @@
 // dynamically configuring Redis's maxmemory-samples.
 //
 // The shadow profilers run through the model layer and are read with
-// non-finalizing Snapshots, so the recommendation updates mid-stream
-// while the profilers keep consuming traffic — the same flow cmd/
+// Snapshots, so the recommendation updates mid-stream while the
+// profilers keep consuming traffic — the same flow cmd/
 // krrserve serves over HTTP.
 package main
 
@@ -55,8 +55,8 @@ func main() {
 				}
 			}
 		}
-		// Mid-stream reading: snapshots never finalize, so the next
-		// window's Process calls remain legal.
+		// Mid-stream reading: a snapshot leaves the stream live, so the
+		// next window's Process calls remain legal.
 		report(w*window, budgetObjects, candidateKs, models)
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		return m.ByteMRC()
+		return m.Snapshot().Byte
 	}
 	uni := build(krr.BytesUniform)
 	vark := build(krr.BytesSizeArray)
@@ -59,7 +59,7 @@ func main() {
 	for _, f := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0} {
 		sizes = append(sizes, uint64(float64(wss)*f))
 	}
-	truth, err := simulator.KLRUByteMRC(tr, k, sizes, 3, 0)
+	truth, err := simulator.KLRUBytesMRC(tr, k, sizes, 3, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

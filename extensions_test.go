@@ -52,7 +52,7 @@ func TestFacadeNSPAndOPT(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lfuCurve := lfu.ObjectMRC()
+	lfuCurve := lfu.Snapshot().Object
 	if lfuCurve.Eval(10) <= lfuCurve.Eval(900) {
 		t.Fatal("LFU curve not decreasing")
 	}

@@ -23,7 +23,7 @@ func replayed(t *testing.T, name string, opts model.Options, tr *trace.Trace) *m
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	return m.ObjectMRC()
+	return m.Snapshot().Object
 }
 
 // exactLRU is the exact object curve of tr, from the olken model.

@@ -40,7 +40,7 @@ func TestSpatialSamplingAccuracy(t *testing.T) {
 	full := replayed(t, tr, model.Options{K: 8, Seed: 3})
 	sampled := replayed(t, tr, model.Options{K: 8, Seed: 3, SamplingRate: 0.2})
 	sizes := mrc.EvenSizes(60000, 20)
-	if mae := mrc.MAE(full.ObjectMRC(), sampled.ObjectMRC(), sizes); mae > 0.03 {
+	if mae := mrc.MAE(full.Snapshot().Object, sampled.Snapshot().Object, sizes); mae > 0.03 {
 		t.Fatalf("sampled vs full MAE %v", mae)
 	}
 	if st := sampled.Stats(); st.Sampled == 0 || st.Sampled >= st.Seen {
@@ -61,30 +61,27 @@ func TestConfigValidation(t *testing.T) {
 		}
 	}
 	tr, _ := trace.Collect(workload.NewZipf(1, 1000, 1.0, nil, 0), 5000)
-	zero := replayed(t, tr, model.Options{Seed: 2}).ObjectMRC()
-	def := replayed(t, tr, model.Options{K: model.DefaultK, Seed: 2}).ObjectMRC()
+	zero := replayed(t, tr, model.Options{Seed: 2}).Snapshot().Object
+	def := replayed(t, tr, model.Options{K: model.DefaultK, Seed: 2}).Snapshot().Object
 	if !sameCurve(zero, def) {
 		t.Fatal("K = 0 must model DefaultK")
 	}
 }
 
-// TestByteMRCErrsWhenOff: a byte-curve read on a model built without a
-// byte mode returns nil, serial or sharded, instead of failing.
-func TestByteMRCErrsWhenOff(t *testing.T) {
+// TestByteCurveNilWhenOff: a snapshot of a model built without a byte
+// mode carries a nil byte curve, serial or sharded, and one with a byte
+// mode carries a curve.
+func TestByteCurveNilWhenOff(t *testing.T) {
 	for _, w := range []int{0, 2} {
 		m := newKRR(t, model.Options{K: 2, Seed: 1, Workers: w})
 		m.Process(trace.Request{Key: 1, Size: 1})
-		if c := m.ByteMRC(); c != nil {
-			t.Fatalf("Workers %d: ByteMRC with bytes off = %v, want nil", w, c)
+		if c := m.Snapshot().Byte; c != nil {
+			t.Fatalf("Workers %d: byte curve with bytes off = %v, want nil", w, c)
 		}
-		if m.Snapshot().Byte != nil {
-			t.Fatalf("Workers %d: snapshot byte curve with bytes off", w)
-		}
-		m.ObjectMRC() // joins a sharded pipeline's workers
 		on := newKRR(t, model.Options{K: 2, Seed: 1, Workers: w, Bytes: model.BytesSizeArray})
 		on.Process(trace.Request{Key: 1, Size: 1})
-		if on.ByteMRC() == nil {
-			t.Fatalf("Workers %d: ByteMRC nil with a byte mode", w)
+		if on.Snapshot().Byte == nil {
+			t.Fatalf("Workers %d: byte curve nil with a byte mode", w)
 		}
 	}
 }
@@ -95,7 +92,7 @@ func TestProfilerDeleteOp(t *testing.T) {
 	m.Process(trace.Request{Key: 1, Op: trace.OpDelete})
 	m.Process(trace.Request{Key: 1, Op: trace.OpGet, Size: 1})
 	hist := histogram.NewDense(1024)
-	if _, _, ok := m.(model.HistReader).ReadObjectHist(hist); !ok {
+	if _, _, ok := m.ReadObjectHist(hist); !ok {
 		t.Fatal("krr must expose its object histogram")
 	}
 	if hist.Cold() != 2 {
@@ -111,7 +108,7 @@ func TestBuildMRCConvenience(t *testing.T) {
 	if err := model.ProcessAll(m, trace.LimitReader(g, 20000)); err != nil {
 		t.Fatal(err)
 	}
-	curve := m.ObjectMRC()
+	curve := m.Snapshot().Object
 	if curve.Eval(1000) >= curve.Eval(10) {
 		t.Fatal("curve not decreasing")
 	}
@@ -142,7 +139,7 @@ func TestBucketConfigValidate(t *testing.T) {
 		if err := model.ProcessAll(m, tr.Reader()); err != nil {
 			t.Fatal(err)
 		}
-		return m.ObjectMRC()
+		return m.Snapshot().Object
 	}
 	if !sameCurve(curve(0), curve(core.DefaultBucketRatio)) {
 		t.Fatalf("ratio 0 must select the default ratio %v", core.DefaultBucketRatio)

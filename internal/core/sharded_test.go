@@ -39,6 +39,7 @@ func newKRR(t testing.TB, opts model.Options) model.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { m.Close() })
 	return m
 }
 
@@ -57,7 +58,7 @@ func replayed(t testing.TB, tr *trace.Trace, opts model.Options) model.Model {
 func shardMetricSum(t *testing.T, m model.Model, suffix string) float64 {
 	t.Helper()
 	set := telemetry.NewSet()
-	m.(model.MetricSource).MetricsInto(set, "")
+	m.MetricsInto(set, "")
 	var buf bytes.Buffer
 	if err := set.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -97,7 +98,7 @@ func TestShardedMatchesSerialMRC(t *testing.T) {
 			}
 			serial := replayed(t, tr, model.Options{K: 8, Seed: 42})
 			sharded := replayed(t, tr, model.Options{K: 8, Seed: 42, Workers: 4})
-			a, b := serial.ObjectMRC(), sharded.ObjectMRC()
+			a, b := serial.Snapshot().Object, sharded.Snapshot().Object
 			at := mrc.EvenSizes(uint64(sum.DistinctObjects), 40)
 			if mae := mrc.MAE(a, b, at); mae > 0.01 {
 				t.Fatalf("sharded vs serial MAE = %.4f > 0.01", mae)
@@ -124,7 +125,7 @@ func TestShardedWithSpatialSampling(t *testing.T) {
 	serial := replayed(t, tr, model.Options{K: 4, Seed: 42})
 	sharded := replayed(t, tr, model.Options{K: 4, Seed: 42, Workers: 4, SamplingRate: 0.1})
 	at := mrc.EvenSizes(uint64(sum.DistinctObjects), 40)
-	if mae := mrc.MAE(serial.ObjectMRC(), sharded.ObjectMRC(), at); mae > 0.02 {
+	if mae := mrc.MAE(serial.Snapshot().Object, sharded.Snapshot().Object, at); mae > 0.02 {
 		t.Fatalf("sharded+spatial vs serial MAE = %.4f > 0.02", mae)
 	}
 	if st := sharded.Stats(); st.Sampled >= st.Seen {
@@ -139,7 +140,7 @@ func TestShardedBytesMRC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := replayed(t, tr, model.Options{K: 4, Seed: 1, Workers: 3, Bytes: model.BytesSizeArray}).ByteMRC()
+	c := replayed(t, tr, model.Options{K: 4, Seed: 1, Workers: 3, Bytes: model.BytesSizeArray}).Snapshot().Byte
 	if c == nil || c.Len() < 2 {
 		t.Fatalf("degenerate byte curve: %v", c)
 	}
@@ -186,7 +187,7 @@ func TestShardedDeleteOps(t *testing.T) {
 			sp.Process(trace.Request{Key: k, Size: 1, Op: trace.OpDelete})
 		}
 	}
-	sp.ObjectMRC()
+	sp.Close() // drains the pipeline so the stack gauges are final
 	resident := shardMetricSum(t, sp, "stack_len")
 	if resident == 0 || resident > 500 {
 		t.Fatalf("resident objects across shards = %v", resident)
@@ -210,10 +211,11 @@ func TestShardedPipelineRace(t *testing.T) {
 		}
 		sp.Process(trace.Request{Key: k, Size: 1})
 	}
-	c := sp.ObjectMRC() // closes, joins, merges
+	c := sp.Snapshot().Object // quiesces and merges
 	if c.Len() == 0 {
 		t.Fatal("empty curve")
 	}
+	sp.Close()
 	sp.Close() // idempotent
 }
 
@@ -243,7 +245,7 @@ func TestShardedWorkersValidation(t *testing.T) {
 func TestBuildMRCShardedPath(t *testing.T) {
 	tr := shardedTestTrace(t, "msr-src2", 50_000)
 	for _, w := range []int{1, 4} {
-		c := replayed(t, tr, model.Options{K: 4, Seed: 5, Workers: w}).ObjectMRC()
+		c := replayed(t, tr, model.Options{K: 4, Seed: 5, Workers: w}).Snapshot().Object
 		if c.Len() < 2 || c.Eval(0) != 1 {
 			t.Fatalf("W=%d: degenerate curve", w)
 		}

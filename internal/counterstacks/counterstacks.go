@@ -172,14 +172,6 @@ func (s *Stack) pruneIfNeeded() {
 	}
 }
 
-// Flush evaluates the current partial batch, if any. A stream calls it
-// once, after its last Process, before reading Hist.
-func (s *Stack) Flush() {
-	if s.pending > 0 {
-		s.finishBatch()
-	}
-}
-
 // MemoryOverheadBytes estimates the model's resident metadata: the HLL
 // register arrays (the dominant term) plus the histogram.
 func (s *Stack) MemoryOverheadBytes() uint64 {
@@ -191,9 +183,8 @@ func (s *Stack) MemoryOverheadBytes() uint64 {
 // hold if the stream ended now, without committing the current partial
 // batch: the batch is evaluated on a deep copy of the counters and
 // histogram, leaving the live state untouched so Process may continue.
-// At end-of-stream (after Flush, or with pending == 0) it returns the
-// live histogram itself, so a snapshot curve is bit-identical to the
-// final one.
+// With no partial batch pending it returns the live histogram itself,
+// which the caller must not modify.
 func (s *Stack) SnapshotHist() *histogram.Log {
 	if s.pending == 0 {
 		return s.hist
@@ -210,6 +201,3 @@ func (s *Stack) SnapshotHist() *histogram.Log {
 	clone.finishBatch()
 	return clone.hist
 }
-
-// Hist exposes the stack-distance histogram.
-func (s *Stack) Hist() *histogram.Log { return s.hist }

@@ -11,14 +11,13 @@ import (
 	"krr/internal/workload"
 )
 
-// replay runs every request of tr through s, flushes the final partial
-// batch, and returns the curve.
+// replay runs every request of tr through s and returns the curve,
+// with any final partial batch evaluated.
 func replay(s *Stack, tr *trace.Trace) *mrc.Curve {
 	for _, req := range tr.Reqs {
 		s.Process(req)
 	}
-	s.Flush()
-	return mrc.FromHistogram(s.Hist(), 1)
+	return mrc.FromHistogram(s.SnapshotHist(), 1)
 }
 
 func TestHLLAccuracy(t *testing.T) {

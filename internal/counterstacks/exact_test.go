@@ -23,7 +23,7 @@ func exactLRU(t *testing.T, tr *trace.Trace) *mrc.Curve {
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	return m.ObjectMRC()
+	return m.Snapshot().Object
 }
 
 func TestMatchesExactLRUOnZipf(t *testing.T) {
@@ -34,8 +34,7 @@ func TestMatchesExactLRUOnZipf(t *testing.T) {
 	for _, req := range tr.Reqs {
 		s.Process(req)
 	}
-	s.Flush()
-	est := mrc.FromHistogram(s.Hist(), 1)
+	est := mrc.FromHistogram(s.SnapshotHist(), 1)
 
 	truth := exactLRU(t, tr)
 

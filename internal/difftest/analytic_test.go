@@ -54,7 +54,7 @@ func TestAnalyticCurveInvariants(t *testing.T) {
 				if err := model.ProcessAll(m, trial.Trace.Reader()); err != nil {
 					t.Fatal(err)
 				}
-				if err := CheckCurve(m.ObjectMRC()); err != nil {
+				if err := CheckCurve(m.Snapshot().Object); err != nil {
 					t.Errorf("%s on %s with %+v: %v", name, trial.Name, opts, err)
 				}
 			}

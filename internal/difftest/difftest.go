@@ -177,7 +177,7 @@ func (r *Runner) ByteReference(target string, trial Trial) (*mrc.Curve, []uint64
 			return simulator.NewLRU(simulator.ByteCapacity(capacity))
 		})
 	case "klru":
-		curve, err = simulator.KLRUByteMRC(trial.Trace, trial.K, sizes, trial.Seed, r.workers)
+		curve, err = simulator.KLRUBytesMRC(trial.Trace, trial.K, sizes, trial.Seed, r.workers)
 	default:
 		err = fmt.Errorf("difftest: no byte reference simulator for target %q", target)
 	}
@@ -200,17 +200,18 @@ func BuildCurve(name string, trial Trial, bytes bool) (*mrc.Curve, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difftest: build %s: %w", name, err)
 	}
+	defer m.Close()
 	if err := model.ProcessAll(m, trial.Trace.Reader()); err != nil {
 		return nil, fmt.Errorf("difftest: feed %s: %w", name, err)
 	}
+	snap := m.Snapshot()
 	if bytes {
-		c := m.ByteMRC()
-		if c == nil {
+		if snap.Byte == nil {
 			return nil, fmt.Errorf("difftest: %s returned a nil byte curve with BytesOn", name)
 		}
-		return c, nil
+		return snap.Byte, nil
 	}
-	return m.ObjectMRC(), nil
+	return snap.Object, nil
 }
 
 // CheckModel runs the differential comparison of one registered model

@@ -96,7 +96,7 @@ func TestDifferentialBucketRatios(t *testing.T) {
 				if err := model.ProcessAll(m, trial.Trace.Reader()); err != nil {
 					t.Fatal(err)
 				}
-				curve := m.ObjectMRC()
+				curve := m.Snapshot().Object
 				if err := CheckCurve(curve); err != nil {
 					t.Fatalf("invariant: %v", err)
 				}

@@ -168,9 +168,7 @@ func (c *Controller) Predictions() map[int]float64 {
 // predictionsAt evaluates every candidate at one fixed budget. decide
 // threads a single budget load through both the comparison and the
 // Decision record so a concurrent SetBudgetObjects cannot make the log
-// claim a budget the candidates were never evaluated at. It reads
-// snapshots: ObjectMRC would finalize the shadow models and end the
-// stream at the first decision.
+// claim a budget the candidates were never evaluated at.
 func (c *Controller) predictionsAt(budget uint64) map[int]float64 {
 	out := make(map[int]float64, len(c.profilers))
 	for k, p := range c.profilers {
@@ -209,8 +207,7 @@ func (c *Controller) Process(req trace.Request) bool {
 		hit = c.cache.Access(req)
 	}
 	for _, p := range c.profilers {
-		// Shadow models are never finalized (predictionsAt reads
-		// snapshots), so Process cannot fail.
+		// Serial shadow models never fail a request.
 		_ = p.Process(req)
 	}
 	c.count++

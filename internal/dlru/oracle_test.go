@@ -90,9 +90,9 @@ func TestDecisionLogMatchesRecordedDigest(t *testing.T) {
 }
 
 // TestShadowModelsKeepStreamingAcrossDecisions guards the read path:
-// a decision must not finalize the shadow models, or every request
-// after the first window would be dropped (Process would return
-// ErrFinalized) while the decisions kept reading a frozen curve.
+// a decision must leave the shadow models streaming, or every request
+// after the first window would be dropped while the decisions kept
+// reading a frozen curve.
 func TestShadowModelsKeepStreamingAcrossDecisions(t *testing.T) {
 	ctl, _ := oracleRun(t)
 	if len(ctl.Decisions()) < 2 {
@@ -100,7 +100,7 @@ func TestShadowModelsKeepStreamingAcrossDecisions(t *testing.T) {
 	}
 	for k, p := range ctl.profilers {
 		st := p.Stats()
-		if st.Finalized || st.Seen != ctl.count {
+		if st.Seen != ctl.count {
 			t.Fatalf("K=%d shadow model: %+v after %d requests", k, st, ctl.count)
 		}
 	}

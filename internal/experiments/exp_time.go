@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"time"
@@ -120,9 +119,7 @@ func runTable53(opt Options) (*Result, error) {
 				return err
 			}
 			err = model.ProcessAll(m, r)
-			if c, ok := m.(io.Closer); ok {
-				c.Close() // joins a sharded pipeline's workers
-			}
+			m.Close() // joins a sharded pipeline's workers
 			return err
 		}); err != nil {
 			return nil, err
@@ -275,7 +272,7 @@ func runTable54(opt Options) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		return stream(func(req trace.Request) { _ = m.Process(req) }) // never finalized: cannot fail
+		return stream(func(req trace.Request) { _ = m.Process(req) }) // a serial model never fails a request
 	}
 	for _, k := range opt.Ks {
 		td, err := streamModel("krr-topdown", k)

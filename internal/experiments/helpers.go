@@ -65,11 +65,12 @@ func modelCurve(tr *trace.Trace, name string, opts model.Options) (*mrc.Curve, t
 	if err != nil {
 		return nil, 0, err
 	}
+	defer m.Close()
 	start := time.Now()
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		return nil, 0, err
 	}
-	curve := m.ObjectMRC()
+	curve := m.Snapshot().Object
 	return curve, time.Since(start), nil
 }
 
@@ -80,12 +81,13 @@ func krrByteCurve(tr *trace.Trace, opts model.Options) (*mrc.Curve, time.Duratio
 	if err != nil {
 		return nil, 0, err
 	}
+	defer m.Close()
 	start := time.Now()
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		return nil, 0, err
 	}
 	elapsed := time.Since(start)
-	return m.ByteMRC(), elapsed, nil
+	return m.Snapshot().Byte, elapsed, nil
 }
 
 // stackRun replays tr through a bare backward KRR stack of exponent
@@ -130,7 +132,7 @@ func simKLRU(tr *trace.Trace, k int, sizes []uint64, seed uint64, workers int) (
 
 // simKLRUBytes returns the byte-capacity ground truth.
 func simKLRUBytes(tr *trace.Trace, k int, sizes []uint64, seed uint64, workers int) (*mrc.Curve, error) {
-	return simulator.KLRUByteMRC(tr, k, sizes, seed, workers)
+	return simulator.KLRUBytesMRC(tr, k, sizes, seed, workers)
 }
 
 // simKLRUVariant simulates K-LRU with the chosen eviction-sampling

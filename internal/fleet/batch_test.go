@@ -81,7 +81,7 @@ func (r *sliceReader) Next() (trace.Request, error) {
 }
 
 // TestIngestBatchShardedModel pins the batch path through a sharded
-// model (the BatchProcessor fast path) end to end.
+// model end to end.
 func TestIngestBatchShardedModel(t *testing.T) {
 	r := NewRegistry(Config{Default: Spec{Model: "krr", Options: model.Options{Workers: 2}}})
 	reqs := readAll(t, zipfTrace(9, 400, 0, 8000))

@@ -3,6 +3,8 @@ package fleet
 import (
 	"errors"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,14 +71,26 @@ func TestIngestDecodeErrorMidBody(t *testing.T) {
 	}
 }
 
-// TestIngestBatchErrorStopsDecoder finalizes the tenant's model while
-// Ingest drains an endless reader: the first two batches are ingested,
-// the third fails with model.ErrFinalized, and Ingest returns with its
-// decoder stopped after at most one more batch.
+// badDefault is a registry default spec no tenant can be built from:
+// once a tenant created with a valid spec is evicted, the next
+// IngestBatch for its id fails in Ensure.
+var badDefault = Spec{Model: "krr", Options: model.Options{K: -1}}
+
+// isBadDefaultErr reports whether err is Ensure's failure to build a
+// tenant from badDefault.
+func isBadDefaultErr(err error) bool {
+	return err != nil && strings.Contains(err.Error(), "options K = -1")
+}
+
+// TestIngestBatchErrorStopsDecoder evicts the tenant while Ingest
+// drains an endless reader into it, under a registry whose default
+// spec cannot be built: the first two batches are ingested, the third
+// fails to re-create the tenant, and Ingest returns with its decoder
+// stopped after at most one more batch.
 func TestIngestBatchErrorStopsDecoder(t *testing.T) {
 	base := runtime.NumGoroutine()
-	r := NewRegistry(Config{})
-	ten, err := r.Ensure("a")
+	r := NewRegistry(Config{Default: badDefault})
+	ten, err := r.Create("a", Spec{Model: "krr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +99,15 @@ func TestIngestBatchErrorStopsDecoder(t *testing.T) {
 			return
 		}
 		// The third batch starts decoding once the first is ingested;
-		// finalize only after the second is too.
+		// evict only after the second is too.
 		for ten.requests.Load() < 2*ingestBatchLen {
 			time.Sleep(100 * time.Microsecond)
 		}
-		ten.mu.Lock()
-		ten.model.ObjectMRC()
-		ten.mu.Unlock()
+		r.Evict("a")
 	}}
 	n, err := r.Ingest("a", reader)
-	if !errors.Is(err, model.ErrFinalized) {
-		t.Fatalf("error %v, want %v", err, model.ErrFinalized)
+	if !isBadDefaultErr(err) {
+		t.Fatalf("error %v, want the default spec's build error", err)
 	}
 	if n != 2*ingestBatchLen {
 		t.Fatalf("ingested %d, want %d", n, 2*ingestBatchLen)
@@ -113,33 +125,78 @@ func TestIngestErrorReturnsPooledBatches(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	r := NewRegistry(Config{})
-	ten, err := r.Ensure("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ten.mu.Lock()
-	ten.model.ObjectMRC()
-	ten.mu.Unlock()
-	run := func() {
-		n, err := r.Ingest("a", &endlessReader{})
-		if n != 0 || !errors.Is(err, model.ErrFinalized) {
-			t.Fatalf("Ingest into a finalized tenant: %d, %v", n, err)
+	const warm, runs = 5, 50
+	// Each run evicts its own tenant, so all are created up front,
+	// outside the measured allocations.
+	r := NewRegistry(Config{Default: badDefault})
+	for i := 0; i < warm+runs; i++ {
+		if _, err := r.Create(strconv.Itoa(i), Spec{Model: "krr"}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		run()
+	run := func(i int) {
+		id := strconv.Itoa(i)
+		n, err := r.Ingest(id, &endlessReader{before: func(j int64) {
+			if j == 0 {
+				r.Evict(id)
+			}
+		}})
+		if n != 0 || !isBadDefaultErr(err) {
+			t.Fatalf("Ingest into a tenant evicted mid-body: %d, %v", n, err)
+		}
 	}
-	const runs = 50
+	for i := 0; i < warm; i++ {
+		run(i)
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	for i := warm; i < warm+runs; i++ {
+		run(i)
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%d bytes allocated per failed Ingest", per)
 	if per >= 4<<10 {
 		t.Fatalf("%d bytes allocated per failed Ingest, want < %d", per, 4<<10)
+	}
+}
+
+// TestIngestBatchEvictionRace evicts the tenant between
+// Registry.IngestBatch's lookup and its batch, from the Clock the
+// lookup's touch reads. The batch must land in the fresh tenant the id
+// resolves to afterwards, without an error, for serial and sharded
+// models alike.
+func TestIngestBatchEvictionRace(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		var r *Registry
+		var armed atomic.Bool
+		r = NewRegistry(Config{
+			Default: Spec{Model: "krr", Options: model.Options{Workers: workers}},
+			Clock: func() time.Time {
+				if armed.CompareAndSwap(true, false) {
+					r.Evict("a")
+				}
+				return time.Unix(0, 0)
+			},
+		})
+		if _, err := r.Ensure("a"); err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]trace.Request, 100)
+		for i := range reqs {
+			reqs[i] = trace.Request{Key: uint64(i % 7), Size: 1}
+		}
+		armed.Store(true)
+		if err := r.IngestBatch("a", reqs); err != nil {
+			t.Fatalf("Workers %d: IngestBatch across an eviction: %v", workers, err)
+		}
+		ten, ok := r.Get("a")
+		if !ok {
+			t.Fatalf("Workers %d: no tenant after the batch", workers)
+		}
+		if seen := ten.Stats().Seen; seen != uint64(len(reqs)) {
+			t.Fatalf("Workers %d: fresh tenant saw %d requests, want %d", workers, seen, len(reqs))
+		}
+		r.Evict("a")
 	}
 }

@@ -22,7 +22,7 @@ func replayed(t *testing.T, name string, opts model.Options, tr *trace.Trace) *m
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	return m.ObjectMRC()
+	return m.Snapshot().Object
 }
 
 func TestMatchesExactLRUOnZipf(t *testing.T) {

@@ -19,12 +19,11 @@ import (
 // streamModel is the one adapter shape every registered model is
 // expressed in: one spatial filter (applied here, or owned by the
 // technique's kernel, which then reports its own decision), a
-// per-request process function, an optional finalization flush, and
-// curve constructors. Models whose object curve is one dense histogram's
-// (the CapSharded ones) hold that histogram instead of an object curve
-// constructor: the Sharded wrapper merges it, and HistReader copies it.
+// per-request process function, and curve constructors. Models whose
+// object curve is one dense histogram's hold that histogram instead of
+// an object curve constructor: ReadObjectHist copies it, and for the
+// CapSharded ones the Sharded wrapper merges it.
 type streamModel struct {
-	finalizer
 	// filter, when non-nil, drops unsampled requests before process —
 	// used by models with no sampling of their own; their curves are
 	// rescaled by 1/rate.
@@ -37,26 +36,22 @@ type streamModel struct {
 	// every request and reports whether the request passed, which is
 	// what Sampled counts.
 	sample func(trace.Request) bool
-	flush  func() // optional; runs once at finalization
-	// objCurve builds the object curve; nil when objDense is set.
+	// objCurve builds the object curve; nil when objDense is set. Like
+	// byteCurve it must leave the model's state untouched.
 	objCurve  func() *mrc.Curve
 	byteCurve func() *mrc.Curve // nil = byte curves off or unsupported
-	// snapObj overrides the object curve for non-finalizing snapshots.
-	// Required for models whose flush commits buffered state (Counter
-	// Stacks); every other technique's objCurve is already
-	// non-destructive and doubles as the snapshot read.
-	snapObj func() *mrc.Curve
 	// metrics, when non-nil, registers the technique's internal live
 	// telemetry (stack gauges, update counters) alongside the adapter's
 	// stream counters in MetricsInto.
 	metrics func(*telemetry.Set, string)
 	// footprint reports the technique's resident metadata bytes; must
-	// be called under the same serialization as process.
+	// be called under the same serialization as process. Every adapter
+	// sets it.
 	footprint func() uint64
 
-	// Mergeable histograms for CapSharded models; nil otherwise. The
-	// object curve of such a model is mrc.FromHistogram(objDense,
-	// objScale).
+	// objDense, when non-nil, is the object histogram: the object curve
+	// is mrc.FromHistogram(objDense, objScale). byteLog is the byte
+	// histogram of the CapSharded models built with a byte mode.
 	objDense *histogram.Dense
 	objScale float64
 	byteLog  *histogram.Log
@@ -69,9 +64,6 @@ type streamModel struct {
 
 // Process implements Model.
 func (m *streamModel) Process(req trace.Request) error {
-	if err := m.guard(); err != nil {
-		return err
-	}
 	m.seen.Inc()
 	switch {
 	case m.sample != nil:
@@ -87,15 +79,11 @@ func (m *streamModel) Process(req trace.Request) error {
 	return nil
 }
 
-// ProcessBatch implements BatchProcessor: Process's admission for each
-// request, with one guard and one add per stream counter for the whole
-// batch. The admission mode is chosen once per batch, not re-read per
-// request: with a kernel as cheap as aet's the per-request re-check
-// was measurable. Unsampled models, aet included, take the plain loop.
+// ProcessBatch implements Model: Process's admission for each request,
+// with one add per stream counter for the whole batch. The admission
+// mode is chosen once per batch, not re-read per request: with a
+// kernel as cheap as aet's the per-request re-check was measurable. Unsampled models, aet included, take the plain loop.
 func (m *streamModel) ProcessBatch(reqs []trace.Request) error {
-	if err := m.guard(); err != nil {
-		return err
-	}
 	m.seen.Add(uint64(len(reqs)))
 	admitted := uint64(len(reqs))
 	switch {
@@ -123,49 +111,14 @@ func (m *streamModel) ProcessBatch(reqs []trace.Request) error {
 	return nil
 }
 
-// finalizeOnce flushes buffered state on the first curve read.
-func (m *streamModel) finalizeOnce() {
-	if !m.finalized && m.flush != nil {
-		m.flush()
-	}
-	m.finalize()
-}
-
-// object builds the object curve.
-func (m *streamModel) object() *mrc.Curve {
-	if m.objDense != nil {
-		return mrc.FromHistogram(m.objDense, m.objScale)
-	}
-	return m.objCurve()
-}
-
-// ObjectMRC implements Model.
-func (m *streamModel) ObjectMRC() *mrc.Curve {
-	m.finalizeOnce()
-	return m.object()
-}
-
-// ByteMRC implements Model.
-func (m *streamModel) ByteMRC() *mrc.Curve {
-	if m.byteCurve == nil {
-		return nil
-	}
-	m.finalizeOnce()
-	return m.byteCurve()
-}
-
-// Snapshot implements Model: the curve of the stream so far, read
-// without flushing or freezing. Buffered state (a partial Counter
-// Stacks batch) is evaluated through snapObj on copies; every other
-// curve constructor is non-destructive, so the finalized read path and
-// the snapshot path run the identical computation — which is what
-// makes an end-of-stream snapshot bit-identical to the final curves.
+// Snapshot implements Model: every curve constructor is
+// non-destructive, so the read leaves the stream untouched.
 func (m *streamModel) Snapshot() Snapshot {
 	snap := Snapshot{Stats: m.Stats()}
-	if m.snapObj != nil && !m.finalized {
-		snap.Object = m.snapObj()
+	if m.objDense != nil {
+		snap.Object = mrc.FromHistogram(m.objDense, m.objScale)
 	} else {
-		snap.Object = m.object()
+		snap.Object = m.objCurve()
 	}
 	if m.byteCurve != nil {
 		snap.Byte = m.byteCurve()
@@ -175,11 +128,11 @@ func (m *streamModel) Snapshot() Snapshot {
 
 // Stats implements Model.
 func (m *streamModel) Stats() Stats {
-	return Stats{Seen: m.seen.Load(), Sampled: m.sampled.Load(), Finalized: m.finalized}
+	return Stats{Seen: m.seen.Load(), Sampled: m.sampled.Load()}
 }
 
-// MetricsInto implements MetricSource: the adapter's stream counters
-// plus any technique-internal metrics under the same prefix.
+// MetricsInto implements Model: the adapter's stream counters plus any
+// technique-internal metrics under the same prefix.
 func (m *streamModel) MetricsInto(set *telemetry.Set, prefix string) {
 	set.CounterFunc(prefix+"requests_seen_total", "requests offered via Process", m.seen.Load)
 	set.CounterFunc(prefix+"requests_sampled_total", "requests admitted past sampling", m.sampled.Load)
@@ -188,17 +141,12 @@ func (m *streamModel) MetricsInto(set *telemetry.Set, prefix string) {
 	}
 }
 
-// Footprint implements FootprintSource. Like Process it is not safe
-// for concurrent use; callers serialize it against the stream.
-func (m *streamModel) Footprint() int64 {
-	if m.footprint == nil {
-		return 0
-	}
-	return int64(m.footprint())
-}
+// Footprint implements Model. Like Process it is not safe for
+// concurrent use; callers serialize it against the stream.
+func (m *streamModel) Footprint() int64 { return int64(m.footprint()) }
 
-// ReadObjectHist implements HistReader for the models that hold a
-// dense object histogram, and reports ok == false for the rest.
+// ReadObjectHist implements Model for the models that hold a dense
+// object histogram, and reports ok == false for the rest.
 func (m *streamModel) ReadObjectHist(dst *histogram.Dense) (scale float64, st Stats, ok bool) {
 	if m.objDense == nil {
 		return 0, Stats{}, false
@@ -206,6 +154,9 @@ func (m *streamModel) ReadObjectHist(dst *histogram.Dense) (scale float64, st St
 	dst.CopyFrom(m.objDense)
 	return m.objScale, m.Stats(), true
 }
+
+// Close implements Model: a serial model holds no resources.
+func (m *streamModel) Close() error { return nil }
 
 func (m *streamModel) objHist() *histogram.Dense { return m.objDense }
 func (m *streamModel) byteHist() *histogram.Log  { return m.byteLog }
@@ -472,9 +423,7 @@ func newCounterStacks(o Options) (Model, error) {
 	return &streamModel{
 		filter:    filter,
 		process:   cs.Process,
-		flush:     cs.Flush,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(cs.Hist(), scale) },
-		snapObj:   func() *mrc.Curve { return mrc.FromHistogram(cs.SnapshotHist(), scale) },
+		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(cs.SnapshotHist(), scale) },
 		footprint: cs.MemoryOverheadBytes,
 	}, nil
 }
@@ -502,7 +451,8 @@ func newNSP(policy nsp.Policy) func(Options) (Model, error) {
 		return &streamModel{
 			filter:    filter,
 			process:   s.Process,
-			objCurve:  func() *mrc.Curve { return mrc.FromHistogram(s.Hist(), scale) },
+			objDense:  s.Hist(),
+			objScale:  scale,
 			footprint: s.MemoryOverheadBytes,
 		}, nil
 	}
@@ -518,7 +468,8 @@ func newMRU(o Options) (Model, error) {
 	return &streamModel{
 		filter:    filter,
 		process:   s.Process,
-		objCurve:  func() *mrc.Curve { return mrc.FromHistogram(s.Hist(), scale) },
+		objDense:  s.Hist(),
+		objScale:  scale,
 		footprint: s.MemoryOverheadBytes,
 	}, nil
 }
@@ -530,9 +481,7 @@ func newMRU(o Options) (Model, error) {
 // so no CapSharded; deletes don't change the popularity distribution,
 // so no CapDeletes (the fitter ignores them, keeping curves invariant
 // under delete injection). The fitter's curve read is non-destructive
-// and deterministic in the sketch state, so objCurve doubles as the
-// snapshot read and end-of-stream snapshots are bit-identical to the
-// finalized curve.
+// and deterministic in the sketch state.
 func newAnalytic(variant cheform.Variant) func(Options) (Model, error) {
 	return func(o Options) (Model, error) {
 		filter, scale := extFilter(o)

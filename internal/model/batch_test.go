@@ -1,10 +1,6 @@
 package model
 
-import (
-	"testing"
-
-	"krr/internal/trace"
-)
+import "testing"
 
 // TestShardedProcessBatchEquivalence pins the batched ingest fast path
 // to per-request Process: same options, same stream, arbitrary batch
@@ -18,6 +14,7 @@ func TestShardedProcessBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer serial.Close()
 	for _, req := range reqs {
 		if err := serial.Process(req); err != nil {
 			t.Fatal(err)
@@ -28,10 +25,7 @@ func TestShardedProcessBatchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp, ok := batched.(BatchProcessor)
-	if !ok {
-		t.Fatal("sharded model does not implement BatchProcessor")
-	}
+	defer batched.Close()
 	// Ragged batch boundaries, including empty and oversized chunks.
 	sizes := []int{1, 0, 7, 4096, 63, 997, 2}
 	for i := 0; len(reqs) > 0; i++ {
@@ -39,7 +33,7 @@ func TestShardedProcessBatchEquivalence(t *testing.T) {
 		if n > len(reqs) {
 			n = len(reqs)
 		}
-		if err := bp.ProcessBatch(reqs[:n]); err != nil {
+		if err := batched.ProcessBatch(reqs[:n]); err != nil {
 			t.Fatal(err)
 		}
 		reqs = reqs[n:]
@@ -49,10 +43,11 @@ func TestShardedProcessBatchEquivalence(t *testing.T) {
 	if ss.Seen != bs.Seen || ss.Sampled != bs.Sampled {
 		t.Fatalf("stats diverge: serial %+v batched %+v", ss, bs)
 	}
-	if !sameCurve(serial.ObjectMRC(), batched.ObjectMRC()) {
+	sn, bn := serial.Snapshot(), batched.Snapshot()
+	if !sameCurve(sn.Object, bn.Object) {
 		t.Fatal("object curves diverge between Process and ProcessBatch")
 	}
-	if !sameCurve(serial.ByteMRC(), batched.ByteMRC()) {
+	if !sameCurve(sn.Byte, bn.Byte) {
 		t.Fatal("byte curves diverge between Process and ProcessBatch")
 	}
 }
@@ -80,70 +75,10 @@ func TestStreamProcessBatchEquivalence(t *testing.T) {
 			if ss, bs := serial.Stats(), batched.Stats(); ss != bs {
 				t.Fatalf("%s rate %v: stats diverge: Process %+v ProcessBatch %+v", info.Name, rate, ss, bs)
 			}
-			if !sameCurve(serial.ObjectMRC(), batched.ObjectMRC()) {
+			if !sameCurve(serial.Snapshot().Object, batched.Snapshot().Object) {
 				t.Fatalf("%s rate %v: curves diverge between Process and ProcessBatch", info.Name, rate)
 			}
-			if err := batched.(BatchProcessor).ProcessBatch(tr.Reqs[:1]); err != ErrFinalized {
-				t.Fatalf("%s: ProcessBatch after finalize = %v, want ErrFinalized", info.Name, err)
-			}
 		}
-	}
-}
-
-// processOnly hides a model's BatchProcessor, leaving only Model.
-type processOnly struct{ Model }
-
-// TestProcessBatchFallback pins the helper's per-request fallback for
-// models that do not implement BatchProcessor.
-func TestProcessBatchFallback(t *testing.T) {
-	tr := synthTrace(t, 5000, 500, 3)
-	reqs := tr.Reqs
-	opts := Options{K: 5, Seed: 9}
-
-	serial, err := New("krr", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range reqs {
-		if err := serial.Process(req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inner, err := New("krr", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaHelper Model = processOnly{inner}
-	if _, ok := viaHelper.(BatchProcessor); ok {
-		t.Fatal("wrapped model implements BatchProcessor; fallback untested")
-	}
-	for off := 0; off < len(reqs); off += 321 {
-		end := off + 321
-		if end > len(reqs) {
-			end = len(reqs)
-		}
-		if err := ProcessBatch(viaHelper, reqs[off:end]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sameCurve(serial.ObjectMRC(), viaHelper.ObjectMRC()) {
-		t.Fatal("ProcessBatch fallback diverges from Process")
-	}
-}
-
-// TestShardedProcessBatchAfterFinalize pins the guard.
-func TestShardedProcessBatchAfterFinalize(t *testing.T) {
-	m, err := New("krr", Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := m.(BatchProcessor)
-	if err := bp.ProcessBatch([]trace.Request{{Key: 1, Size: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	m.ObjectMRC()
-	if err := bp.ProcessBatch([]trace.Request{{Key: 2, Size: 1}}); err != ErrFinalized {
-		t.Fatalf("ProcessBatch after finalize = %v, want ErrFinalized", err)
 	}
 }
 
@@ -159,10 +94,9 @@ func BenchmarkKernelFilteredBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bp := m.(BatchProcessor)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := bp.ProcessBatch(reqs); err != nil {
+				if err := m.ProcessBatch(reqs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -34,18 +33,14 @@ func feed(t *testing.T, m Model, tr *trace.Trace) {
 // including empty and oversized chunks.
 var raggedBatches = []int{1, 0, 7, 64, 63, 997, 2}
 
-// feedBatches drives m's BatchProcessor with tr cut at ragged
+// feedBatches drives m's ProcessBatch with tr cut at ragged
 // boundaries.
 func feedBatches(t *testing.T, m Model, tr *trace.Trace) {
 	t.Helper()
-	bp, ok := m.(BatchProcessor)
-	if !ok {
-		t.Fatalf("%T does not implement BatchProcessor", m)
-	}
 	reqs := tr.Reqs
 	for i := 0; len(reqs) > 0; i++ {
 		n := min(raggedBatches[i%len(raggedBatches)], len(reqs))
-		if err := bp.ProcessBatch(reqs[:n]); err != nil {
+		if err := m.ProcessBatch(reqs[:n]); err != nil {
 			t.Fatal(err)
 		}
 		reqs = reqs[n:]
@@ -73,8 +68,9 @@ func buildCurve(t *testing.T, name string, opts Options, tr *trace.Trace) *mrc.C
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
 	}
+	defer m.Close()
 	feed(t, m, tr)
-	return m.ObjectMRC()
+	return m.Snapshot().Object
 }
 
 func checkCurveShape(t *testing.T, c *mrc.Curve, label string) {
@@ -114,8 +110,7 @@ func sameCurve(a, b *mrc.Curve) bool {
 }
 
 // TestConformance holds every registry entry to the Model contract:
-// sane monotone curves, bit-identical reruns under one seed, frozen
-// state after the first curve read, and honest Stats counters.
+// sane monotone curves and bit-identical reruns under one seed.
 func TestConformance(t *testing.T) {
 	tr := synthTrace(t, 20000, 2000, 11)
 	for _, info := range All() {
@@ -135,44 +130,6 @@ func TestConformance(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestConformanceFinalized checks the lifecycle contract: the first
-// curve accessor freezes the model and later Process calls fail with
-// ErrFinalized.
-func TestConformanceFinalized(t *testing.T) {
-	tr := synthTrace(t, 2000, 200, 3)
-	for _, info := range All() {
-		info := info
-		t.Run(info.Name, func(t *testing.T) {
-			// Rate 1 = explicitly unsampled, even for the shards* models
-			// whose zero value means "the technique's default rate".
-			m, err := New(info.Name, Options{Seed: 7, SamplingRate: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(t, m, tr)
-			st := m.Stats()
-			if st.Seen != uint64(tr.Len()) {
-				t.Fatalf("Seen = %d, want %d", st.Seen, tr.Len())
-			}
-			if st.Sampled != st.Seen {
-				t.Fatalf("unsampled model: Sampled = %d != Seen = %d", st.Sampled, st.Seen)
-			}
-			if st.Finalized {
-				t.Fatal("finalized before any curve read")
-			}
-			if m.ObjectMRC() == nil {
-				t.Fatal("nil object curve")
-			}
-			if !m.Stats().Finalized {
-				t.Fatal("not finalized after curve read")
-			}
-			if err := m.Process(trace.Request{Key: 1}); !errors.Is(err, ErrFinalized) {
-				t.Fatalf("Process after curve read: got %v, want ErrFinalized", err)
-			}
-		})
 	}
 }
 
@@ -276,8 +233,9 @@ func TestKernelFilterIsTheOnlyFilter(t *testing.T) {
 	}
 }
 
-// TestConformanceBytes checks ByteMRC against CapBytes: nil without a
-// byte mode (or without the capability), a monotone curve with one.
+// TestConformanceBytes checks Snapshot's byte curve against CapBytes:
+// nil without a byte mode (or without the capability), a monotone curve
+// with one.
 func TestConformanceBytes(t *testing.T) {
 	tr := synthTrace(t, 5000, 500, 9)
 	for _, info := range All() {
@@ -288,8 +246,8 @@ func TestConformanceBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed(t, m, tr)
-			if c := m.ByteMRC(); c != nil {
-				t.Fatalf("ByteMRC non-nil with BytesOff")
+			if c := m.Snapshot().Byte; c != nil {
+				t.Fatalf("byte curve non-nil with BytesOff")
 			}
 
 			if !info.Caps.Has(CapBytes) {
@@ -303,9 +261,9 @@ func TestConformanceBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			feed(t, mb, tr)
-			c := mb.ByteMRC()
+			c := mb.Snapshot().Byte
 			if c == nil {
-				t.Fatal("ByteMRC nil with BytesOn and CapBytes")
+				t.Fatal("byte curve nil with BytesOn and CapBytes")
 			}
 			checkCurveShape(t, c, info.Name+"/bytes")
 		})

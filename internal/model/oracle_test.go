@@ -220,8 +220,10 @@ func checkDigests(t *testing.T, tr *trace.Trace, cases []digestCase) {
 			t.Fatal(err)
 		}
 		feed(t, m, tr)
-		obj, byt := curveDigest(m.ObjectMRC()), curveDigest(m.ByteMRC())
-		st := m.Stats()
+		snap := m.Snapshot()
+		m.Close()
+		obj, byt := curveDigest(snap.Object), curveDigest(snap.Byte)
+		st := snap.Stats
 		if obj != c.object || byt != c.bytes || st.Seen != c.seen || st.Sampled != c.sampled {
 			t.Errorf("%s %+v:\n got obj %s bytes %q seen %d sampled %d\nwant obj %s bytes %q seen %d sampled %d",
 				c.name, c.opts, obj, byt, st.Seen, st.Sampled, c.object, c.bytes, c.seen, c.sampled)
@@ -242,7 +244,8 @@ func TestShardsAtRateOneIsOlken(t *testing.T) {
 			t.Fatal(err)
 		}
 		feed(t, m, tr)
-		return curveDigest(m.ObjectMRC()), curveDigest(m.ByteMRC())
+		snap := m.Snapshot()
+		return curveDigest(snap.Object), curveDigest(snap.Byte)
 	}
 	wantObj, wantByt := curves("olken")
 	if obj, byt := curves("shards"); obj != wantObj || byt != wantByt {

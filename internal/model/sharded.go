@@ -39,13 +39,17 @@ type histSource interface {
 // worker-owned histograms race-free, and resume the workers. Process
 // itself remains single-producer (one streaming goroutine; the W-way
 // parallelism lives behind the pipe).
+//
+// Sharded is the one model with a terminal state: Close joins the
+// workers, after which Process and ProcessBatch return ErrClosed and
+// the reads return the drained histograms' curves.
 type Sharded struct {
-	finalizer
-	// mu serializes Process, Snapshot and the finalizing accessors so a
-	// monitor thread can snapshot a live stream. The streaming path pays
-	// one uncontended lock per request, noise next to the shard hash and
+	// mu serializes Process, the reads and Close so a monitor thread
+	// can snapshot a live stream. The streaming path pays one
+	// uncontended lock per request, noise next to the shard hash and
 	// batch append it guards.
 	mu      sync.Mutex
+	closed  bool // guarded by mu
 	pipe    *shardpipe.Pipe
 	subs    []Model
 	sources []histSource
@@ -98,8 +102,8 @@ func NewSharded(name string, workers int, opts Options) (*Sharded, error) {
 		s.sources = append(s.sources, src)
 	}
 	s.pipe = shardpipe.New(workers, func(shard int, req trace.Request) {
-		// Errors are impossible here: sub-models are never finalized —
-		// their histograms are read directly after the pipe drains.
+		// Errors are impossible here: serial sub-models never fail a
+		// request.
 		_ = s.subs[shard].Process(req)
 	})
 	return s, nil
@@ -113,8 +117,8 @@ func (s *Sharded) Workers() int { return s.pipe.Workers() }
 func (s *Sharded) Process(req trace.Request) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.guard(); err != nil {
-		return err
+	if s.closed {
+		return ErrClosed
 	}
 	s.seen.Inc()
 	if s.filter != nil && !s.filter.Sampled(req.Key) {
@@ -125,7 +129,7 @@ func (s *Sharded) Process(req trace.Request) error {
 	return nil
 }
 
-// ProcessBatch implements BatchProcessor: one lock acquisition and one
+// ProcessBatch implements Model: one lock acquisition and one
 // pipe append per shard for the whole batch, instead of per request.
 // Requests are partitioned into per-shard runs (arrival order preserved
 // within each shard, which is all the SPSC pipe guarantees anyway), so
@@ -133,8 +137,8 @@ func (s *Sharded) Process(req trace.Request) error {
 func (s *Sharded) ProcessBatch(reqs []trace.Request) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.guard(); err != nil {
-		return err
+	if s.closed {
+		return ErrClosed
 	}
 	s.seen.Add(uint64(len(reqs)))
 	if s.scratch == nil {
@@ -159,14 +163,6 @@ func (s *Sharded) ProcessBatch(reqs []trace.Request) error {
 	return nil
 }
 
-// drain finalizes: flush and join the pipe, freeze the model.
-func (s *Sharded) drain() {
-	if !s.finalized {
-		s.pipe.Close()
-	}
-	s.finalize()
-}
-
 // scale is the distance rescale undoing both samplings: keyspace
 // partition (×W) and spatial filter (×1/R).
 func (s *Sharded) scale() float64 {
@@ -178,10 +174,9 @@ func (s *Sharded) scale() float64 {
 }
 
 // withWorkersParked runs fn while no worker mutates shard state: after
-// finalization directly, mid-stream inside a pipe quiesce. The caller
-// holds mu.
+// Close directly, before it inside a pipe quiesce. The caller holds mu.
 func (s *Sharded) withWorkersParked(fn func()) {
-	if s.finalized {
+	if s.closed {
 		fn()
 	} else {
 		s.pipe.Quiesce(fn)
@@ -217,39 +212,16 @@ func (s *Sharded) mergedByte() *mrc.Curve {
 	return mrc.FromHistogram(merged, s.scale())
 }
 
-// ObjectMRC implements Model: it drains the pipeline, merges the shard
-// histograms and rescales distances by W/R.
-func (s *Sharded) ObjectMRC() *mrc.Curve {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drain()
-	return s.mergedObject()
-}
-
-// ByteMRC implements Model; nil unless built with a byte mode.
-func (s *Sharded) ByteMRC() *mrc.Curve {
-	if !s.bytes {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drain()
-	return s.mergedByte()
-}
-
-// Snapshot implements Model: the merged curve of the stream so far,
-// without closing the pipeline. Mid-stream it quiesces the pipe —
-// partial batches flush, workers park at a barrier, the merge reads
-// the worker-owned histograms race-free, and the workers resume; after
-// finalization it reads the drained histograms directly. Either way
-// the merge is the same computation ObjectMRC performs, so a snapshot
-// at end-of-stream is bit-identical to the finalized curves.
+// Snapshot implements Model: the merged curve of the stream so far.
+// Before Close it quiesces the pipe — partial batches flush, workers
+// park at a barrier, the merge reads the worker-owned histograms
+// race-free, and the workers resume; after Close it reads the drained
+// histograms directly. Both merge the same histograms, so a read just
+// before Close is bit-identical to one after it.
 func (s *Sharded) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := Snapshot{
-		Stats: Stats{Seen: s.seen.Load(), Sampled: s.sampled.Load(), Finalized: s.finalized},
-	}
+	snap := Snapshot{Stats: s.stats()}
 	s.withWorkersParked(func() {
 		snap.Object = s.mergedObject()
 		if s.bytes {
@@ -259,13 +231,13 @@ func (s *Sharded) Snapshot() Snapshot {
 	return snap
 }
 
-// ReadObjectHist implements HistReader: it merges the shard object
+// ReadObjectHist implements Model: it merges the shard object
 // histograms into dst during the same quiesce Snapshot uses, and
 // returns the W/R rescale.
 func (s *Sharded) ReadObjectHist(dst *histogram.Dense) (scale float64, st Stats, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st = Stats{Seen: s.seen.Load(), Sampled: s.sampled.Load(), Finalized: s.finalized}
+	st = s.stats()
 	s.withWorkersParked(func() { s.mergeObjectInto(dst) })
 	return s.scale(), st, true
 }
@@ -274,47 +246,48 @@ func (s *Sharded) ReadObjectHist(dst *histogram.Dense) (scale float64, st Stats,
 func (s *Sharded) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return Stats{Seen: s.seen.Load(), Sampled: s.sampled.Load(), Finalized: s.finalized}
+	return s.stats()
 }
 
-// Footprint implements FootprintSource: the sum of the shard
-// sub-models' footprints. Mid-stream it quiesces the pipe so the
-// worker-owned structures are read race-free; after finalization it
-// reads them directly.
+// stats reads the router-side counters; the caller holds mu.
+func (s *Sharded) stats() Stats { return Stats{Seen: s.seen.Load(), Sampled: s.sampled.Load()} }
+
+// Footprint implements Model: the sum of the shard sub-models'
+// footprints. Before Close it quiesces the pipe so the worker-owned
+// structures are read race-free; after Close it reads them directly.
 func (s *Sharded) Footprint() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
 	s.withWorkersParked(func() {
 		for _, sub := range s.subs {
-			total += FootprintOf(sub)
+			total += sub.Footprint()
 		}
 	})
 	return total
 }
 
-// Close releases the pipeline's worker goroutines without reading any
-// curve. Safe to call repeatedly; the model is finalized afterwards.
-// Tenant eviction paths use it so a discarded sharded model does not
-// leak its workers.
+// Close implements Model: it flushes the pipeline and joins its worker
+// goroutines. Safe to call repeatedly.
 func (s *Sharded) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.drain()
+	if !s.closed {
+		s.pipe.Close()
+		s.closed = true
+	}
 	return nil
 }
 
-// MetricsInto implements MetricSource: router stream counters, the
-// pipe's batch/queue metrics, and each shard sub-model's metrics under
-// a shard<i>_ prefix. All registered values are atomics, safe to
+// MetricsInto implements Model: router stream counters, the pipe's
+// batch/queue metrics, and each shard sub-model's metrics under a
+// shard<i>_ prefix. All registered values are atomics, safe to
 // scrape while the pipeline streams.
 func (s *Sharded) MetricsInto(set *telemetry.Set, prefix string) {
 	set.CounterFunc(prefix+"requests_seen_total", "requests offered to the router", s.seen.Load)
 	set.CounterFunc(prefix+"requests_sampled_total", "requests admitted past spatial sampling", s.sampled.Load)
 	s.pipe.MetricsInto(set, prefix+"pipe_")
 	for i, sub := range s.subs {
-		if ms, ok := sub.(MetricSource); ok {
-			ms.MetricsInto(set, fmt.Sprintf("%sshard%d_", prefix, i))
-		}
+		sub.MetricsInto(set, fmt.Sprintf("%sshard%d_", prefix, i))
 	}
 }

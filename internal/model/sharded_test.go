@@ -20,7 +20,8 @@ func TestShardedMatchesCoreShardedProfiler(t *testing.T) {
 	}
 	feed(t, m, tr)
 	const want = "0829b59393ea1e929ebe2de77e540863507f22f7a39535088a5ef0cfbd92960b"
-	if got := curveDigest(m.ObjectMRC()); got != want {
+	defer m.Close()
+	if got := curveDigest(m.Snapshot().Object); got != want {
 		t.Fatalf("model.Sharded(krr) diverges from core.ShardedProfiler: digest %s, want %s", got, want)
 	}
 }
@@ -58,8 +59,8 @@ func TestShardedVsSerial(t *testing.T) {
 	}
 }
 
-// TestShardedLifecycle covers the wrapper's own Model contract:
-// curve-read freezing, stats, byte curves, and worker clamping.
+// TestShardedLifecycle covers the wrapper's own Model contract: stats,
+// byte curves, Close as the terminal state, and worker clamping.
 func TestShardedLifecycle(t *testing.T) {
 	tr := synthTrace(t, 10000, 1000, 13)
 	s, err := NewSharded("krr", 3, Options{Seed: 5, Bytes: BytesOn})
@@ -70,18 +71,23 @@ func TestShardedLifecycle(t *testing.T) {
 		t.Fatalf("Workers = %d, want 3", s.Workers())
 	}
 	feed(t, s, tr)
-	obj := s.ObjectMRC()
-	checkCurveShape(t, obj, "sharded/obj")
-	bc := s.ByteMRC()
-	if bc == nil {
+	snap := s.Snapshot()
+	checkCurveShape(t, snap.Object, "sharded/obj")
+	if snap.Byte == nil {
 		t.Fatal("nil byte curve with BytesOn")
 	}
-	checkCurveShape(t, bc, "sharded/bytes")
-	if err := s.Process(trace.Request{Key: 1}); err != ErrFinalized {
-		t.Fatalf("Process after curve read: %v, want ErrFinalized", err)
+	checkCurveShape(t, snap.Byte, "sharded/bytes")
+	if err := s.Process(trace.Request{Key: 1}); err != nil {
+		t.Fatalf("Process after Snapshot: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Process(trace.Request{Key: 2}); err != ErrClosed {
+		t.Fatalf("Process after Close: %v, want ErrClosed", err)
 	}
 	st := s.Stats()
-	if st.Seen != uint64(tr.Len()) || st.Sampled != st.Seen || !st.Finalized {
+	if st.Seen != uint64(tr.Len())+1 || st.Sampled != st.Seen {
 		t.Fatalf("stats = %+v", st)
 	}
 
@@ -93,8 +99,9 @@ func TestShardedLifecycle(t *testing.T) {
 	if s1.Workers() != 1 {
 		t.Fatalf("Workers = %d, want 1", s1.Workers())
 	}
+	defer s1.Close()
 	feed(t, s1, tr)
-	checkCurveShape(t, s1.ObjectMRC(), "sharded/1way")
+	checkCurveShape(t, s1.Snapshot().Object, "sharded/1way")
 }
 
 // TestShardedRejectsUnmergeable: CapSharded is the gate.

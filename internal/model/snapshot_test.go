@@ -28,10 +28,11 @@ func snapshotVariants(info Info) []Options {
 	return variants
 }
 
-// TestSnapshotAtEOFBitIdentical pins the central snapshot guarantee
-// for every registry entry and the Sharded wrapper: a Snapshot taken
-// at end-of-stream — before any finalizing accessor — is bit-identical
-// to the finalized curves.
+// TestSnapshotAtEOFBitIdentical pins the read contract at end-of-stream
+// for every registry entry and the Sharded wrapper: a repeated Snapshot
+// is bit-identical to the first, and so is one taken after Close, which
+// for Sharded reads the drained histograms instead of quiescing the
+// pipe.
 //
 // The trace length is deliberately not a multiple of the Counter
 // Stacks downsampling interval, so the partial-batch snapshot path
@@ -52,41 +53,40 @@ func TestSnapshotAtEOFBitIdentical(t *testing.T) {
 				feed(t, m, tr)
 
 				snap := m.Snapshot()
-				if snap.Stats.Finalized {
-					t.Fatal("snapshot must not finalize the model")
-				}
 				if snap.Stats.Seen != uint64(tr.Len()) {
 					t.Fatalf("snapshot Seen = %d, want %d", snap.Stats.Seen, tr.Len())
 				}
 				checkCurveShape(t, snap.Object, "snapshot object curve")
-
-				final := m.ObjectMRC()
-				if !sameCurve(snap.Object, final) {
-					t.Fatal("snapshot at EOF differs from finalized object curve")
-				}
 				if opts.Bytes != BytesOff {
-					fb := m.ByteMRC()
-					if snap.Byte == nil || fb == nil {
-						t.Fatal("byte mode set but snapshot/final byte curve is nil")
+					if snap.Byte == nil {
+						t.Fatal("byte mode set but the snapshot byte curve is nil")
 					}
-					if !sameCurve(snap.Byte, fb) {
-						t.Fatal("snapshot at EOF differs from finalized byte curve")
-					}
+					checkCurveShape(t, snap.Byte, "snapshot byte curve")
 				} else if snap.Byte != nil {
 					t.Fatal("snapshot byte curve must be nil with bytes off")
 				}
 
-				// Snapshot after finalization stays readable and equal.
-				again := m.Snapshot()
-				if !again.Stats.Finalized {
-					t.Fatal("post-finalize snapshot must report Finalized")
+				if !sameSnapshot(m.Snapshot(), snap) {
+					t.Fatal("repeated snapshot at EOF differs from the first")
 				}
-				if !sameCurve(again.Object, final) {
-					t.Fatal("post-finalize snapshot differs from finalized curve")
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !sameSnapshot(m.Snapshot(), snap) {
+					t.Fatal("snapshot after Close differs from the one before it")
 				}
 			})
 		}
 	}
+}
+
+// sameSnapshot reports whether two snapshots hold bit-identical curves
+// and equal stream counters.
+func sameSnapshot(a, b Snapshot) bool {
+	if a.Stats != b.Stats || !sameBits(a.Object, b.Object) || (a.Byte == nil) != (b.Byte == nil) {
+		return false
+	}
+	return a.Byte == nil || sameBits(a.Byte, b.Byte)
 }
 
 // TestSnapshotDoesNotPerturbStream checks that mid-stream snapshots
@@ -119,7 +119,7 @@ func TestSnapshotDoesNotPerturbStream(t *testing.T) {
 				}
 			}
 			control := buildCurve(t, info.Name, opts, tr)
-			if !sameCurve(probed.ObjectMRC(), control) {
+			if !sameCurve(probed.Snapshot().Object, control) {
 				t.Fatalf("%s: mid-stream snapshots perturbed the final curve", info.Name)
 			}
 		})
@@ -190,8 +190,9 @@ func TestShardedSnapshotConcurrent(t *testing.T) {
 	close(done)
 	wg.Wait()
 
+	defer m.Close()
 	control := buildCurve(t, "krr", opts, tr)
-	if !sameCurve(m.ObjectMRC(), control) {
+	if !sameCurve(m.Snapshot().Object, control) {
 		t.Fatal("concurrent snapshots perturbed the sharded curve")
 	}
 }

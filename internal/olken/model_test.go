@@ -23,7 +23,7 @@ func olkenCurve(t *testing.T, g trace.Reader, n int) *mrc.Curve {
 	if err := model.ProcessAll(m, trace.LimitReader(g, n)); err != nil {
 		t.Fatal(err)
 	}
-	return m.ObjectMRC()
+	return m.Snapshot().Object
 }
 
 func TestProfilerMRCOnLoop(t *testing.T) {
@@ -67,7 +67,7 @@ func TestProfilerDeleteOp(t *testing.T) {
 		}
 	}
 	hist := histogram.NewDense(1024)
-	if _, _, ok := m.(model.HistReader).ReadObjectHist(hist); !ok {
+	if _, _, ok := m.ReadObjectHist(hist); !ok {
 		t.Fatal("olken must expose its object histogram")
 	}
 	if hist.Cold() != 2 {

@@ -29,10 +29,10 @@ import (
 // size K and its policy online without any state migration.
 //
 // A dlru.Controller in advisory mode rides along as a second judge:
-// its per-K KRR shadow profilers predict, from live non-finalizing
-// MRC snapshots, which sampling size a K-LRU cache of the same budget
-// *should* prefer, and the duel records whether the empirical PSEL
-// winner agrees — an online audit of the tournament against the model.
+// its per-K KRR shadow profilers predict, from live MRC snapshots,
+// which sampling size a K-LRU cache of the same budget *should*
+// prefer, and the duel records whether the empirical PSEL winner
+// agrees — an online audit of the tournament against the model.
 
 // Duel defaults.
 const (
@@ -460,10 +460,10 @@ func (d *Duel) endEpoch() {
 }
 
 // auditEpoch asks the KRR judge which sampling size a K-LRU cache of
-// the duel's budget should prefer, from live non-finalizing MRC
-// snapshots, and records whether the PSEL winner agrees. The judge's
-// budget tracks the observed mean object cost so the prediction stays
-// anchored to the real resident capacity.
+// the duel's budget should prefer, from live MRC snapshots, and
+// records whether the PSEL winner agrees. The judge's budget tracks
+// the observed mean object cost so the prediction stays anchored to
+// the real resident capacity.
 func (d *Duel) auditEpoch() {
 	if d.judge == nil {
 		return

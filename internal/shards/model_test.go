@@ -38,12 +38,12 @@ func replayed(t *testing.T, name string, opts model.Options, tr *trace.Trace) mo
 // exactLRU is the exact object curve of tr.
 func exactLRU(t *testing.T, tr *trace.Trace) *mrc.Curve {
 	t.Helper()
-	return replayed(t, "olken", model.Options{Seed: 1}, tr).ObjectMRC()
+	return replayed(t, "olken", model.Options{Seed: 1}, tr).Snapshot().Object
 }
 
 func TestFixedRateApproximatesExactLRU(t *testing.T) {
 	tr := zipfTrace(3, 50000, 300000)
-	approx := replayed(t, "shards", model.Options{Seed: 2, SamplingRate: 0.3}, tr).ObjectMRC()
+	approx := replayed(t, "shards", model.Options{Seed: 2, SamplingRate: 0.3}, tr).Snapshot().Object
 	sizes := mrc.EvenSizes(50000, 25)
 	if mae := mrc.MAE(exactLRU(t, tr), approx, sizes); mae > 0.03 {
 		t.Fatalf("fixed-rate SHARDS MAE %v vs exact LRU", mae)
@@ -59,8 +59,8 @@ func TestFixedRateAdjustImprovesNormalization(t *testing.T) {
 	tr := zipfTrace(5, 20000, 100000)
 	opts := model.Options{Seed: 2, SamplingRate: 0.1}
 	plainModel := replayed(t, "olken", opts, tr)
-	plain := plainModel.ObjectMRC()
-	adj := replayed(t, "shards", opts, tr).ObjectMRC()
+	plain := plainModel.Snapshot().Object
+	adj := replayed(t, "shards", opts, tr).Snapshot().Object
 	for _, c := range plain.Sizes {
 		if adj.Eval(c) > plain.Eval(c) {
 			t.Fatalf("size %d: adjusted miss %v above plain %v", c, adj.Eval(c), plain.Eval(c))
@@ -87,10 +87,10 @@ func TestFixedRateRejectsBadRate(t *testing.T) {
 	}
 }
 
-func TestFixedRateByteMRC(t *testing.T) {
+func TestFixedRateByteCurve(t *testing.T) {
 	g := workload.NewTwitterLike(3, workload.TwitterParams{Keys: 5000, Alpha: 1.0})
 	tr, _ := trace.Collect(g, 50000)
-	c := replayed(t, "shards", model.Options{Seed: 2, SamplingRate: 0.5, Bytes: model.BytesOn}, tr).ByteMRC()
+	c := replayed(t, "shards", model.Options{Seed: 2, SamplingRate: 0.5, Bytes: model.BytesOn}, tr).Snapshot().Byte
 	if c.Len() < 2 {
 		t.Fatal("byte curve empty")
 	}
@@ -106,11 +106,11 @@ func TestFixedRateByteMRC(t *testing.T) {
 func TestFixedRateAdjustBulkMatchesLoop(t *testing.T) {
 	tr := zipfTrace(9, 20000, 100000)
 	opts := model.Options{Seed: 2, SamplingRate: 0.05}
-	got := replayed(t, "shards", opts, tr).ObjectMRC()
+	got := replayed(t, "shards", opts, tr).Snapshot().Object
 
 	plain := replayed(t, "olken", opts, tr)
 	hist := histogram.NewDense(1024)
-	scale, st, ok := plain.(model.HistReader).ReadObjectHist(hist)
+	scale, st, ok := plain.ReadObjectHist(hist)
 	if !ok {
 		t.Fatal("olken must expose its object histogram")
 	}

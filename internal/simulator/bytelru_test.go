@@ -25,7 +25,7 @@ func TestByteLRUMatchesOlkenByteCurve(t *testing.T) {
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	curve := m.ByteMRC()
+	curve := m.Snapshot().Byte
 	last := map[uint64]uint32{}
 	for _, req := range tr.Reqs {
 		last[req.Key] = req.Size

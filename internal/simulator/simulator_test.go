@@ -50,7 +50,7 @@ func TestLRUMatchesOlkenProfilerExactly(t *testing.T) {
 	if err := model.ProcessAll(m, tr.Reader()); err != nil {
 		t.Fatal(err)
 	}
-	exact := m.ObjectMRC()
+	exact := m.Snapshot().Object
 
 	for _, size := range []uint64{10, 50, 200, 1000, 1900} {
 		st, err := Run(NewLRU(ObjectCapacity(int(size))), tr.Reader())

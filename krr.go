@@ -121,10 +121,10 @@ type ModelOptions = model.Options
 // summary, and capability flags.
 type ModelInfo = model.Info
 
-// ModelSnapshot is a non-finalizing curve read from a live model (see
-// Model.Snapshot): the curves of the stream so far, with Process still
-// legal afterwards. At end-of-stream it is bit-identical to the
-// finalized curves. cmd/krrserve serves these over HTTP.
+// ModelSnapshot is a model's one curve read (see Model.Snapshot): the
+// curves of the stream so far, with Process still legal afterwards, so
+// a live stream may be read any number of times. cmd/krrserve serves
+// these over HTTP.
 type ModelSnapshot = model.Snapshot
 
 // Models lists every registered MRC model, sorted by name.
@@ -137,16 +137,18 @@ func NewModel(name string, opts ModelOptions) (Model, error) {
 }
 
 // BuildMRCWith drains the reader through the named registered model
-// and returns the object-granularity miss ratio curve.
+// and returns the object-granularity miss ratio curve. It closes the
+// model before returning, so a sharded build leaves no workers behind.
 func BuildMRCWith(name string, r Reader, opts ModelOptions) (*Curve, error) {
 	m, err := model.New(name, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	if err := model.ProcessAll(m, r); err != nil {
 		return nil, err
 	}
-	return m.ObjectMRC(), nil
+	return m.Snapshot().Object, nil
 }
 
 // KPrimeFor returns the corrected stack exponent K′ = K^1.4 used to

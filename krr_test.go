@@ -2,7 +2,9 @@ package krr_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"krr"
 )
@@ -103,7 +105,7 @@ func TestFacadeVariableSizes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bc := m.ByteMRC()
+	bc := m.Snapshot().Byte
 	if bc == nil || bc.Eval(0) != 1 || bc.Len() < 3 {
 		t.Fatal("byte curve malformed")
 	}
@@ -144,7 +146,27 @@ func TestFacadeModelRegistry(t *testing.T) {
 	if st := m.Stats(); st.Seen != uint64(tr.Len()) {
 		t.Fatalf("Seen = %d, want %d", st.Seen, tr.Len())
 	}
-	if m.ObjectMRC() == nil {
+	if m.Snapshot().Object == nil {
 		t.Fatal("nil curve")
+	}
+}
+
+// TestBuildMRCWithReleasesWorkers: a sharded build joins its pipeline
+// workers before it returns.
+func TestBuildMRCWithReleasesWorkers(t *testing.T) {
+	tr, err := krr.Collect(krr.PresetReader("zipf", 0.05, 7, false), 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	if _, err := krr.BuildMRCWith("krr", tr.Reader(), krr.ModelOptions{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after BuildMRCWith, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -43,8 +43,8 @@ if [ "${1:-}" = "fast" ]; then
 	go test ./...
 	echo "== krr-bucket key table vs slot-arena reference (oracle)"
 	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete' ./internal/core/
-	echo "== every model vs recorded digests (oracle); exact Sampled counts and one filter per model; shards at rate 1 is olken"
-	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
+	echo "== every model vs recorded digests (oracle): end-of-stream curves and mid-stream snapshots; exact Sampled counts and one filter per model; shards at rate 1 is olken"
+	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestSnapshotCurvesMatchRecordedDigests|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
 	go test -count=1 -run 'TestDecisionLogMatchesRecordedDigest|TestShadowModelsKeepStreamingAcrossDecisions' ./internal/dlru/
 	go test -count=1 -run 'TestKPrimeAblationMatchesRecordedDigests' ./internal/experiments/
 	echo "== model conformance + snapshots + histogram reads (-race)"
@@ -70,9 +70,9 @@ go test -count=1 -run TestFleetSmoke ./cmd/krrserve/
 echo "== ingest smoke (krrload -> krrserve wire plane over loopback, zero drops)"
 go test -count=1 -run TestIngestSmoke ./cmd/krrserve/
 
-echo "== ingest failure injection (-race: stalled HTTP body, sink failure in drain, disconnect mid-frame, slow tenant, eviction with frames queued, decode and ingest errors mid-body)"
+echo "== ingest failure injection (-race: stalled HTTP body, sink failure in drain, disconnect mid-frame, slow tenant, eviction with frames queued, eviction between lookup and batch, decode and ingest errors mid-body)"
 go test -race -count=1 -run 'TestFailure|TestServerSinkError' ./internal/wire/ ./cmd/krrserve/
-go test -race -count=1 -run 'TestIngestDecodeErrorMidBody|TestIngestBatchErrorStopsDecoder' ./internal/fleet/
+go test -race -count=1 -run 'TestIngestDecodeErrorMidBody|TestIngestBatchErrorStopsDecoder|TestIngestBatchEvictionRace' ./internal/fleet/
 
 echo "== ingest alloc guards (wire decode allocation-free; wire connection, NDJSON body buffers and ingest batches recycled)"
 go test -count=1 -run 'TestDecodeHotPathAllocFree|TestServerShortConnAllocs' ./internal/wire/
