@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"krr/internal/telemetry"
 	"krr/internal/xrand"
@@ -48,6 +49,12 @@ import (
 // A lookup yields the position in the same probe that finds the key.
 // The structure is pointer-free: snapshotting or sharding it costs a
 // few slice copies.
+//
+// The per-reference path makes no call and no atomic write: draws come
+// from drawBatch's inlined fast path (the bucket walk keeps the cursor
+// in a local), bucketOf starts from a table indexed by bits.Len32(p),
+// and the telemetry counters are plain fields that Publish copies to
+// atomics once per ingest call.
 
 // DefaultBucketRatio is the geometric bucket growth ratio used when a
 // configuration leaves it zero: buckets coarse enough for the O(1)
@@ -104,12 +111,20 @@ type BucketStack struct {
 	// touches one densely packed cache line instead of striding
 	// through 24-byte spans.
 	ends []int32
+	// octave[l] is the bucket holding position 2^(l-1), or MaxInt32
+	// until that bucket is first built. A position p with
+	// bits.Len32(p) == l lies in buckets octave[l]..octave[l+1], so
+	// bucketOf searches only that range: at ratio 2, one or two
+	// buckets. A span depends only on (ratio, K′), so entries stay
+	// valid when Delete pops buckets and Reference rebuilds them.
+	octave [34]int32
 
-	// Live telemetry, single-writer atomics (see Stack).
-	moves    telemetry.Counter // inter-bucket victim moves applied
-	updates  telemetry.Counter
-	depthSum telemetry.Counter // Σφ over updates
-	resident telemetry.Gauge
+	// Telemetry: plain counters the owner writes per update, copied
+	// into pub by Publish (see published).
+	moves    uint64 // inter-bucket victim moves applied
+	updates  uint64
+	depthSum uint64 // Σφ over updates
+	pub      published
 }
 
 // bucketTableMinCap is the key table's initial (and minimum) capacity.
@@ -133,6 +148,9 @@ func NewBucketStack(kPrime, ratio float64, seed uint64) *BucketStack {
 		ratio:  ratio,
 		draws:  newDrawBatch(xrand.New(seed)),
 		order:  make([]int32, 1),
+	}
+	for l := range s.octave {
+		s.octave[l] = math.MaxInt32
 	}
 	s.initTable(bucketTableMinCap)
 	return s
@@ -228,46 +246,44 @@ func (s *BucketStack) PositionOf(key uint64) int32 {
 
 // Moves returns the cumulative inter-bucket victim moves applied —
 // the bucketized analog of Stack.SwapSteps.
-func (s *BucketStack) Moves() uint64 { return s.moves.Load() }
+func (s *BucketStack) Moves() uint64 { return s.moves }
 
 // Updates returns the number of stack updates performed.
-func (s *BucketStack) Updates() uint64 { return s.updates.Load() }
+func (s *BucketStack) Updates() uint64 { return s.updates }
 
 // DepthSum returns the cumulative reference depth (Σφ over updates).
-func (s *BucketStack) DepthSum() uint64 { return s.depthSum.Load() }
+func (s *BucketStack) DepthSum() uint64 { return s.depthSum }
 
-// MetricsInto registers the stack's live counters under prefix; all
-// reads are atomic and scrape-safe mid-stream.
-func (s *BucketStack) MetricsInto(set *telemetry.Set, prefix string) {
-	set.GaugeFunc(prefix+"stack_len", "objects resident on the bucketized KRR stack", func() float64 {
-		return float64(s.resident.Load())
-	})
-	set.GaugeFunc(prefix+"buckets", "active geometric buckets", func() float64 {
-		return float64(len(s.buckets))
-	})
-	set.CounterFunc(prefix+"updates_total", "stack updates performed", s.updates.Load)
-	set.CounterFunc(prefix+"bucket_moves_total", "inter-bucket victim moves applied", s.moves.Load)
-	set.CounterFunc(prefix+"update_depth_sum", "cumulative reference depth phi across updates", s.depthSum.Load)
-	set.GaugeFunc(prefix+"bucket_moves_per_update", "average victim moves per stack update", func() float64 {
-		u := s.updates.Load()
-		if u == 0 {
-			return 0
-		}
-		return float64(s.moves.Load()) / float64(u)
-	})
-	set.GaugeFunc(prefix+"update_depth_avg", "average reference depth per stack update", func() float64 {
-		u := s.updates.Load()
-		if u == 0 {
-			return 0
-		}
-		return float64(s.depthSum.Load()) / float64(u)
-	})
+// Publish copies the stack's counters, length and bucket count into
+// the atomics MetricsInto reads. The owner calls it between
+// references; the accessors above are exact at every point without it.
+func (s *BucketStack) Publish() {
+	s.pub.store(s.updates, s.depthSum, s.moves, s.Len(), len(s.buckets))
 }
 
-// bucketOf returns the index of the bucket owning nominal position p.
+// MetricsInto registers the stack's telemetry under prefix, as of the
+// last Publish; every read is atomic and scrape-safe mid-stream.
+func (s *BucketStack) MetricsInto(set *telemetry.Set, prefix string) {
+	p := &s.pub
+	set.GaugeFunc(prefix+"stack_len", "objects resident on the bucketized KRR stack", func() float64 {
+		return float64(p.length.Load())
+	})
+	set.GaugeFunc(prefix+"buckets", "active geometric buckets", func() float64 {
+		return float64(p.buckets.Load())
+	})
+	set.CounterFunc(prefix+"updates_total", "stack updates performed", p.updates.Load)
+	set.CounterFunc(prefix+"bucket_moves_total", "inter-bucket victim moves applied", p.steps.Load)
+	set.CounterFunc(prefix+"update_depth_sum", "cumulative reference depth phi across updates", p.depthSum.Load)
+	set.GaugeFunc(prefix+"bucket_moves_per_update", "average victim moves per stack update", p.ratio(&p.steps))
+	set.GaugeFunc(prefix+"update_depth_avg", "average reference depth per stack update", p.ratio(&p.depthSum))
+}
+
+// bucketOf returns the index of the bucket owning nominal position p:
+// a binary search over ends, narrowed by the octave table.
 func (s *BucketStack) bucketOf(p int32) int {
 	ends := s.ends
-	lo, hi := 0, len(ends)-1
+	l := bits.Len32(uint32(p))
+	lo, hi := int(s.octave[l]), min(int(s.octave[l+1]), len(ends)-1)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if ends[mid] < p {
@@ -300,6 +316,18 @@ func (s *BucketStack) newSpan(idx int) bucketSpan {
 	return sp
 }
 
+// addBucket appends the next bucket of the geometry and records it in
+// the octave table for each power of two it spans.
+func (s *BucketStack) addBucket() {
+	idx := len(s.buckets)
+	sp := s.newSpan(idx)
+	s.buckets = append(s.buckets, sp)
+	s.ends = append(s.ends, sp.end)
+	for l := bits.Len32(uint32(sp.start-1)) + 1; l <= bits.Len32(uint32(sp.end)); l++ {
+		s.octave[l] = int32(idx)
+	}
+}
+
 // Reference processes an access to key and returns its stack distance
 // (the nominal position, Cold for first touches — appended to the
 // stack bottom before the update, matching Algorithm 1's convention).
@@ -321,10 +349,8 @@ func (s *BucketStack) Reference(key uint64, size uint32) Result {
 		s.tpos[i] = p
 		s.order = append(s.order, int32(i))
 		if nb := len(s.buckets); nb == 0 || p > s.buckets[nb-1].end {
-			s.buckets = append(s.buckets, s.newSpan(nb))
-			s.ends = append(s.ends, s.buckets[nb].end)
+			s.addBucket()
 		}
-		s.resident.Set(int64(p))
 		res.Cold = true
 	}
 	s.update(int32(i), p)
@@ -335,8 +361,8 @@ func (s *BucketStack) Reference(key uint64, size uint32) Result {
 // nominal position p: one Bernoulli per bucket above p's, then a
 // deep-to-shallow victim rotation through the visited buckets.
 func (s *BucketStack) update(slot, p int32) {
-	s.updates.Inc()
-	s.depthSum.Add(uint64(p))
+	s.updates++
+	s.depthSum += uint64(p)
 	b := s.bucketOf(p)
 	if b == 0 {
 		// Top bucket: the bucket-granular state is unchanged.
@@ -345,9 +371,18 @@ func (s *BucketStack) update(slot, p int32) {
 	order, tpos, bks := s.order, s.tpos, s.buckets
 	hole := p
 	var moved uint64
+	// The draw cursor lives in a local for the walk and is written
+	// back once: drawBatch.next, inlined by hand.
+	d := &s.draws
+	pos := d.pos
 	for j := b - 1; j >= 1; j-- {
 		bk := bks[j]
-		u := s.draws.next()
+		if pos >= rngBatch {
+			d.refill()
+			pos = 0
+		}
+		u := d.buf[pos]
+		pos++
 		if u <= bk.pNoSwap {
 			continue
 		}
@@ -363,6 +398,7 @@ func (s *BucketStack) update(slot, p int32) {
 		hole = q
 		moved++
 	}
+	d.pos = pos
 	// Bucket 0 is the single position 1 (width round(ratio^0) = 1 for
 	// every legal ratio) and is always on the chain, so its "victim
 	// draw" is deterministic: the object at position 1 drops into the
@@ -372,7 +408,7 @@ func (s *BucketStack) update(slot, p int32) {
 	tpos[v] = hole
 	order[1] = slot
 	tpos[slot] = 1
-	s.moves.Add(moved + 1)
+	s.moves += moved + 1
 }
 
 // Delete removes key from the stack in O(buckets): the hole cascades
@@ -416,7 +452,6 @@ func (s *BucketStack) Delete(key uint64) bool {
 		s.ends = s.ends[:len(s.buckets)]
 	}
 	s.unlink(i)
-	s.resident.Set(int64(n - 1))
 	return true
 }
 

@@ -245,3 +245,61 @@ func TestBucketRatioConvergence(t *testing.T) {
 		t.Fatalf("MAE did not shrink toward ratio 1: ratio1=%.4f ratio4=%.4f", maes[1], maes[4])
 	}
 }
+
+// bucketOfBinary is bucketOf's reference: a plain binary search for the
+// first bucket whose end is at or past p.
+func bucketOfBinary(ends []int32, p int32) int {
+	lo, hi := 0, len(ends)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ends[mid] < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestBucketOfMatchesBinarySearch checks the octave-narrowed bucketOf
+// against the plain binary search at every position up to 2^22, with
+// the geometry built one bucket at a time as Reference builds it, so
+// every position is also looked up while its bucket is the last one.
+// It then pops buckets as Delete does and looks up again, so stale
+// octave entries past the last bucket are exercised.
+func TestBucketOfMatchesBinarySearch(t *testing.T) {
+	const maxPos = 1 << 22
+	for _, ratio := range []float64{1, 1.25, 1.5, 2, 4} {
+		s := NewBucketStack(KPrimeFor(5), ratio, 1)
+		for p := int32(1); p <= maxPos; p++ {
+			if len(s.ends) == 0 || p > s.ends[len(s.ends)-1] {
+				s.addBucket()
+			}
+			if got, want := s.bucketOf(p), bucketOfBinary(s.ends, p); got != want {
+				t.Fatalf("ratio %v: bucketOf(%d) = %d, want %d", ratio, p, got, want)
+			}
+		}
+		for len(s.ends) > 1 {
+			s.buckets = s.buckets[:len(s.buckets)/2]
+			s.ends = s.ends[:len(s.buckets)]
+			last := s.ends[len(s.ends)-1]
+			for p := int32(1); p <= last; p += 1 + p/64 {
+				if got, want := s.bucketOf(p), bucketOfBinary(s.ends, p); got != want {
+					t.Fatalf("ratio %v, %d buckets: bucketOf(%d) = %d, want %d", ratio, len(s.ends), p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDrawBatchMatchesPerDrawSource checks the batched draws against
+// Float64Open called per draw on a twin source, across several refills.
+func TestDrawBatchMatchesPerDrawSource(t *testing.T) {
+	d := newDrawBatch(xrand.New(9))
+	ref := xrand.New(9)
+	for i := 0; i < 5*rngBatch+3; i++ {
+		if got, want := d.next(), ref.Float64Open(); got != want {
+			t.Fatalf("draw %d = %v, want %v", i, got, want)
+		}
+	}
+}

@@ -44,6 +44,12 @@ type streamModel struct {
 	// telemetry (stack gauges, update counters) alongside the adapter's
 	// stream counters in MetricsInto.
 	metrics func(*telemetry.Set, string)
+	// publish, when non-nil, copies the kernel's owner-written
+	// telemetry into the atomics metrics reads. Process and
+	// ProcessBatch call it once on return, the cadence of the stream
+	// counters, so the kernel's per-reference path stays free of
+	// atomics.
+	publish func()
 	// footprint reports the technique's resident metadata bytes; must
 	// be called under the same serialization as process. Every adapter
 	// sets it.
@@ -76,6 +82,9 @@ func (m *streamModel) Process(req trace.Request) error {
 	}
 	m.sampled.Inc()
 	m.process(req)
+	if m.publish != nil {
+		m.publish()
+	}
 	return nil
 }
 
@@ -108,6 +117,9 @@ func (m *streamModel) ProcessBatch(reqs []trace.Request) error {
 		}
 	}
 	m.sampled.Add(admitted)
+	if m.publish != nil {
+		m.publish()
+	}
 	return nil
 }
 
@@ -223,6 +235,7 @@ func newKRR(method core.UpdateMethod) func(Options) (Model, error) {
 			objScale: scale,
 			byteLog:  byt,
 			metrics:  st.MetricsInto,
+			publish:  st.Publish,
 		}
 		m.footprint = func() uint64 {
 			fp := st.MemoryOverheadBytes() + obj.MemBytes()
@@ -268,6 +281,7 @@ func newKRRBucket(o Options) (Model, error) {
 		objDense:  obj,
 		objScale:  scale,
 		metrics:   st.MetricsInto,
+		publish:   st.Publish,
 		footprint: func() uint64 { return st.MemoryOverheadBytes() + obj.MemBytes() },
 	}, nil
 }

@@ -101,10 +101,10 @@ func NewSharded(name string, workers int, opts Options) (*Sharded, error) {
 		s.subs = append(s.subs, m)
 		s.sources = append(s.sources, src)
 	}
-	s.pipe = shardpipe.New(workers, func(shard int, req trace.Request) {
+	s.pipe = shardpipe.New(workers, func(shard int, batch []trace.Request) {
 		// Errors are impossible here: serial sub-models never fail a
 		// request.
-		_ = s.subs[shard].Process(req)
+		_ = s.subs[shard].ProcessBatch(batch)
 	})
 	return s, nil
 }

@@ -73,10 +73,11 @@ type Pipe struct {
 }
 
 // New starts a pipe with workers shard goroutines (workers >= 1).
-// Each worker calls consume(shard, req) for every request routed to
-// it, strictly in arrival order; consume runs on the worker goroutine
-// and must touch only shard-private state.
-func New(workers int, consume func(shard int, req trace.Request)) *Pipe {
+// Each worker calls consume(shard, batch) for every batch routed to
+// it, strictly in arrival order; consume runs on the worker goroutine,
+// must touch only shard-private state, and must not retain batch,
+// which the pipe recycles.
+func New(workers int, consume func(shard int, batch []trace.Request)) *Pipe {
 	if workers < 1 {
 		workers = 1
 	}
@@ -95,10 +96,10 @@ func New(workers int, consume func(shard int, req trace.Request)) *Pipe {
 	return p
 }
 
-// run is the per-shard worker loop: drain batches into consume and
+// run is the per-shard worker loop: hand batches to consume and
 // recycle the buffers. A nil batch is the Quiesce sentinel — the
 // worker acknowledges it and parks until the barrier lifts.
-func (p *Pipe) run(i int, consume func(int, trace.Request)) {
+func (p *Pipe) run(i int, consume func(int, []trace.Request)) {
 	defer p.wg.Done()
 	for batch := range p.chans[i] {
 		if batch == nil {
@@ -110,9 +111,7 @@ func (p *Pipe) run(i int, consume func(int, trace.Request)) {
 			<-p.chans[i]
 			continue
 		}
-		for _, req := range batch {
-			consume(i, req)
-		}
+		consume(i, batch)
 		p.consumed[i].Add(uint64(len(batch)))
 		p.pool.Put(batch[:0])
 	}

@@ -13,8 +13,10 @@ func TestOrderAndCompleteness(t *testing.T) {
 	const workers = 4
 	const n = 10_000
 	got := make([][]uint64, workers)
-	p := New(workers, func(shard int, req trace.Request) {
-		got[shard] = append(got[shard], req.Key)
+	p := New(workers, func(shard int, batch []trace.Request) {
+		for _, req := range batch {
+			got[shard] = append(got[shard], req.Key)
+		}
 	})
 	want := make([][]uint64, workers)
 	for i := uint64(0); i < n; i++ {
@@ -39,7 +41,7 @@ func TestOrderAndCompleteness(t *testing.T) {
 // a short (sub-batch) stream is fully flushed.
 func TestCloseIdempotent(t *testing.T) {
 	var count atomic.Uint64
-	p := New(2, func(int, trace.Request) { count.Add(1) })
+	p := New(2, func(_ int, batch []trace.Request) { count.Add(uint64(len(batch))) })
 	for i := uint64(0); i < 7; i++ {
 		p.Send(p.ShardOf(i), trace.Request{Key: i})
 	}
@@ -71,8 +73,8 @@ func TestSendBatchEquivalence(t *testing.T) {
 	run := func(send func(p *Pipe, shard int, chunk []trace.Request)) capture {
 		var c capture
 		c.seqs = make([][]trace.Request, workers)
-		p := New(workers, func(shard int, req trace.Request) {
-			c.seqs[shard] = append(c.seqs[shard], req)
+		p := New(workers, func(shard int, batch []trace.Request) {
+			c.seqs[shard] = append(c.seqs[shard], batch...)
 		})
 		// Route by key as real consumers do, feeding variable-size runs
 		// of same-shard requests through send.
@@ -119,7 +121,7 @@ func TestSendBatchEquivalence(t *testing.T) {
 	// Oversized single chunks (> BatchLen) split exactly like repeated
 	// Send too.
 	var count atomic.Uint64
-	p := New(1, func(int, trace.Request) { count.Add(1) })
+	p := New(1, func(_ int, batch []trace.Request) { count.Add(uint64(len(batch))) })
 	p.SendBatch(0, reqs[:BatchLen*2+17])
 	p.Close()
 	if count.Load() != BatchLen*2+17 {
@@ -129,7 +131,7 @@ func TestSendBatchEquivalence(t *testing.T) {
 
 // TestSendBatchAfterClosePanicsClearly pins the shared contract.
 func TestSendBatchAfterClosePanicsClearly(t *testing.T) {
-	p := New(2, func(int, trace.Request) {})
+	p := New(2, func(int, []trace.Request) {})
 	p.Close()
 	defer func() {
 		if r := recover(); r == nil {
@@ -154,7 +156,7 @@ func TestShardSeedDistinct(t *testing.T) {
 
 // TestSingleWorkerShardOf pins the degenerate W=1 routing.
 func TestSingleWorkerShardOf(t *testing.T) {
-	p := New(1, func(int, trace.Request) {})
+	p := New(1, func(int, []trace.Request) {})
 	defer p.Close()
 	for i := uint64(0); i < 100; i++ {
 		if p.ShardOf(i) != 0 {
@@ -167,7 +169,7 @@ func TestSingleWorkerShardOf(t *testing.T) {
 // Close must fail with the package's own message, not an opaque
 // send-on-closed-channel runtime panic.
 func TestSendAfterClosePanicsClearly(t *testing.T) {
-	p := New(2, func(int, trace.Request) {})
+	p := New(2, func(int, []trace.Request) {})
 	p.Close()
 	defer func() {
 		r := recover()
@@ -187,7 +189,7 @@ func TestSendAfterClosePanicsClearly(t *testing.T) {
 func TestQuiesce(t *testing.T) {
 	const workers = 3
 	var count atomic.Uint64
-	p := New(workers, func(int, trace.Request) { count.Add(1) })
+	p := New(workers, func(_ int, batch []trace.Request) { count.Add(uint64(len(batch))) })
 
 	send := func(n uint64) {
 		for i := uint64(0); i < n; i++ {
@@ -222,7 +224,7 @@ func TestQuiesce(t *testing.T) {
 // counters sum to the stream length and the batch counters agree.
 func TestPipeTelemetry(t *testing.T) {
 	const n = 5000
-	p := New(2, func(int, trace.Request) {})
+	p := New(2, func(int, []trace.Request) {})
 	for i := uint64(0); i < n; i++ {
 		p.Send(p.ShardOf(i), trace.Request{Key: i})
 	}

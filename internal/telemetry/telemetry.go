@@ -32,6 +32,11 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
+// Store sets the counter to v. It is for a single writer publishing a
+// monotone count it keeps in a plain field, so readers see the count
+// as of the last Store.
+func (c *Counter) Store(v uint64) { c.v.Store(v) }
+
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 

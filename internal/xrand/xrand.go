@@ -96,6 +96,26 @@ func (s *Source) Float64Open() float64 {
 	return 1.0 - s.Float64()
 }
 
+// FillFloat64Open fills dst with uniform values in (0, 1]: the values,
+// and the state left behind, are those of len(dst) Float64Open calls.
+// The generator state stays in registers across the loop instead of
+// round-tripping through memory on every draw.
+func (s *Source) FillFloat64Open(dst []float64) {
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	for i := range dst {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		dst[i] = 1.0 - float64(result>>11)*(1.0/(1<<53))
+	}
+	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
+}
+
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // Lemire's multiply-shift rejection method: one multiply in the common
 // case, unbiased.

@@ -320,3 +320,25 @@ func BenchmarkZipf(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestFillFloat64OpenMatchesPerDraw checks FillFloat64Open against
+// Float64Open called per draw on a twin source, over fills of several
+// lengths in a row, and that the two streams continue in step after
+// each fill.
+func TestFillFloat64OpenMatchesPerDraw(t *testing.T) {
+	s, ref := New(42), New(42)
+	buf := make([]float64, 64)
+	drawn := 0
+	for _, n := range []int{64, 1, 0, 63, 64, 17, 64} {
+		s.FillFloat64Open(buf[:n])
+		for i, got := range buf[:n] {
+			if want := ref.Float64Open(); got != want {
+				t.Fatalf("draw %d = %v, want %v", drawn+i, got, want)
+			}
+		}
+		drawn += n
+		if got, want := s.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("after %d draws the streams diverge: %x, want %x", drawn, got, want)
+		}
+	}
+}

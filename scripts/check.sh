@@ -28,6 +28,15 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== inlining (the KRR kernels' per-draw fast path and key lookup inline into the update loops)"
+inlined=$(go build -gcflags=-m ./internal/core 2>&1)
+for fn in '(*drawBatch).next' '(*BucketStack).find'; do
+	if ! printf '%s\n' "$inlined" | grep -qF "can inline $fn"; then
+		echo "internal/core: $fn is no longer inlinable (see draws.go)" >&2
+		exit 1
+	fi
+done
+
 echo "== bench vet (krrbench compiles against internal APIs; offline, as bench/run.sh)"
 (cd bench && GOTOOLCHAIN=local GOPROXY=off GOSUMDB=off GOFLAGS=-buildvcs=false go vet ./...)
 
@@ -41,14 +50,15 @@ go test -count=1 -run 'TestDifferentialAnalytic|TestAnalyticCurveInvariants' ./i
 if [ "${1:-}" = "fast" ]; then
 	echo "== go test (no race)"
 	go test ./...
-	echo "== krr-bucket key table vs slot-arena reference (oracle)"
-	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete' ./internal/core/
+	echo "== krr-bucket key table vs slot-arena reference, bucketOf vs binary search, batched draws vs per-draw (oracles)"
+	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete|TestBucketOfMatchesBinarySearch|TestDrawBatchMatchesPerDrawSource' ./internal/core/
+	go test -count=1 -run 'TestFillFloat64OpenMatchesPerDraw' ./internal/xrand/
 	echo "== every model vs recorded digests (oracle): end-of-stream curves and mid-stream snapshots; exact Sampled counts and one filter per model; shards at rate 1 is olken"
-	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestSnapshotCurvesMatchRecordedDigests|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
+	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestSnapshotCurvesMatchRecordedDigests|TestFullScaleKernelPins|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
 	go test -count=1 -run 'TestDecisionLogMatchesRecordedDigest|TestShadowModelsKeepStreamingAcrossDecisions' ./internal/dlru/
 	go test -count=1 -run 'TestKPrimeAblationMatchesRecordedDigests' ./internal/experiments/
-	echo "== model conformance + snapshots + histogram reads (-race)"
-	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce|TestReadObjectHist' ./internal/model/ ./internal/shardpipe/
+	echo "== model conformance + snapshots + histogram reads + kernel telemetry scraped during ingest (-race)"
+	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce|TestReadObjectHist|TestKernelTelemetry' ./internal/model/ ./internal/shardpipe/
 	echo "== fleet curve reads under ingest (-race)"
 	go test -race -run 'TestTenantRead' ./internal/fleet/
 	echo "== redislike + dlru (-race: duel counters, controller retarget)"
