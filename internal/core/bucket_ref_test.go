@@ -249,30 +249,52 @@ func TestBucketStackMatchesArenaReference(t *testing.T) {
 		if len(grown.tkeys) < bucketTableMinCap<<4 {
 			t.Fatalf("growth case ended at %d table entries, want >= 4 doublings", len(grown.tkeys))
 		}
-		// Wrap-around: keys whose fibonacci home is the last entries
-		// of the table, so probe runs wrap to entry 0 and deletes
-		// backward-shift across the boundary.
-		compareBucketStacks(t, "wrap", ratio, func(yield func(uint64, bool)) {
-			keys := wrapKeys(16, 10)
+		// Wrap-around: keys whose home is the last entries of the
+		// table, so probe runs wrap to entry 0 and deletes
+		// backward-shift across the boundary. The stream ends on
+		// references to all ten keys, so they fill one run from the
+		// last two entries through entry 0 to entry 7.
+		keys := wrapKeys(bucketTableMinCap, 10)
+		wrapped := compareBucketStacks(t, "wrap", ratio, func(yield func(uint64, bool)) {
 			r := xrand.New(9)
 			for i := 0; i < 5000; i++ {
 				yield(keys[r.Uint64()%uint64(len(keys))], r.Uint64()%3 == 0)
 			}
+			for _, k := range keys {
+				yield(k, false)
+			}
 		})
+		if n := wrappedEntries(wrapped); len(wrapped.tkeys) != bucketTableMinCap || wrapped.tpos[0] == 0 || n != len(keys)-2 {
+			t.Fatalf("wrap case (ratio %g): table at %d entries, entry 0 occupied = %v, %d entries past the end; want %d entries with a run wrapped through entry 0 and %d past the end",
+				ratio, len(wrapped.tkeys), wrapped.tpos[0] != 0, n, bucketTableMinCap, len(keys)-2)
+		}
 	}
 }
 
-// wrapKeys returns n keys whose fibonacci home in a table of the given
+// wrapKeys returns n keys whose keyHome in a table of the given
 // capacity is one of its last two entries.
 func wrapKeys(capacity, n int) []uint64 {
 	shift := 64 - uint(log2Ceil(capacity))
 	var keys []uint64
 	for k := uint64(0); len(keys) < n; k++ {
-		if int((k*fibMul)>>shift) >= capacity-2 {
+		if int(keyHome(k, shift)) >= capacity-2 {
 			keys = append(keys, k)
 		}
 	}
 	return keys
+}
+
+// wrappedEntries counts the live entries whose probe run crossed the
+// table's end: each sits below its home, with every entry from the home
+// to the end and from entry 0 up to it occupied.
+func wrappedEntries(s *BucketStack) int {
+	n := 0
+	for i, p := range s.tpos {
+		if p != 0 && s.home(s.tkeys[i]) > uint64(i) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestBucketStackWrapAroundDelete checks the wrap-around case is real:
@@ -288,7 +310,7 @@ func TestBucketStackWrapAroundDelete(t *testing.T) {
 	if len(s.tkeys) != bucketTableMinCap {
 		t.Fatalf("table grew to %d entries with %d keys", len(s.tkeys), len(keys))
 	}
-	if s.tpos[0] == 0 {
+	if s.tpos[0] == 0 || wrappedEntries(s) == 0 {
 		t.Fatal("no probe run wrapped into entry 0")
 	}
 	for _, k := range keys[:3] {

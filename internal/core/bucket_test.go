@@ -58,7 +58,7 @@ func TestBucketGeometry(t *testing.T) {
 // checkBucketInvariants verifies the key-table/order cross-structure
 // invariants after an arbitrary operation sequence: order and tpos are
 // inverse bijections between positions 1..Len and the live table
-// entries, every live entry is reachable from its fibonacci home
+// entries, every live entry is reachable from its home
 // without crossing an empty entry, the table is within its load bound,
 // and the bucket table ends exactly at the bucket covering Len.
 func checkBucketInvariants(t *testing.T, s *BucketStack) {

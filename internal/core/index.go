@@ -1,17 +1,17 @@
 package core
 
+import "krr/internal/hashing"
+
 // posIndex is the stack's key→position hash index: an open-addressing
 // table mapping uint64 keys to 1-based int32 stack positions. It
 // replaces the built-in map on the profiler hot path — every Reference
 // performs one lookup plus O(K log M) position writes, and a flat
-// linear-probe table with fibonacci hashing beats map[uint64]int32 on
-// both by avoiding bucket chaining, per-bucket tophash scans and write
-// barriers.
+// linear-probe table beats map[uint64]int32 on both by avoiding bucket
+// chaining, per-bucket tophash scans and write barriers.
 //
 // Invariants:
-//   - capacity is a power of two; home slot is the top log2(cap) bits
-//     of key * 2^64/φ (fibonacci hashing), so sequential and low-entropy
-//     keys still spread.
+//   - capacity is a power of two; home slot is keyHome: the top
+//     log2(cap) bits of hashing.Mix64(key).
 //   - a slot with vals[i] == 0 is empty. Stack positions are 1-based,
 //     so 0 never collides with a stored value and no separate occupancy
 //     bitmap or key sentinel is needed (key 0 is a legal key).
@@ -27,8 +27,19 @@ type posIndex struct {
 	max   int // grow threshold (3/4 load)
 }
 
-// fibMul is 2^64 / golden ratio, the fibonacci-hashing multiplier.
-const fibMul = 0x9e3779b97f4a7c15
+// keyHome is the home entry of key in a table of 2^(64-shift) entries,
+// shared by posIndex and BucketStack's key table: the top bits of the
+// SplitMix64 finalizer. It is not a multiplicative (fibonacci) home,
+// key·2^64/φ, because the workload generators' keys are already
+// rank·2^64/φ: multiplying again homes each at the top bits of rank·c
+// for one fixed c, and those fall into long runs. On msr-web such a
+// home made a krr-bucket lookup probe 43.6 entries on average (p99
+// 116) at 57% load, and a posIndex lookup under exact krr 39.1; Mix64
+// reads 1.59 and 2.25. Its top bits are independent of the low 24 the
+// sampling filter tests, so sampled key sets spread too
+// (TestKeyTableProbeLength holds every key family to linear probing's
+// uniform-hash expectation).
+func keyHome(key uint64, shift uint) uint64 { return hashing.Mix64(key) >> shift }
 
 const posIndexMinCap = 16
 
@@ -57,9 +68,7 @@ func log2Ceil(v int) int {
 	return n
 }
 
-func (ix *posIndex) home(key uint64) uint64 {
-	return (key * fibMul) >> ix.shift
-}
+func (ix *posIndex) home(key uint64) uint64 { return keyHome(key, ix.shift) }
 
 // Len returns the number of stored keys.
 func (ix *posIndex) Len() int { return ix.n }

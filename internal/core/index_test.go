@@ -80,8 +80,8 @@ func TestPosIndexZeroKey(t *testing.T) {
 // tombstone-free deletion must preserve.
 func TestPosIndexBackwardShift(t *testing.T) {
 	ix := newPosIndex()
-	// Dense sequential keys: fibonacci hashing spreads them, but with
-	// enough keys every cluster shape shows up.
+	// Dense sequential keys: keyHome spreads them, and with enough
+	// keys every cluster shape shows up.
 	const n = 10_000
 	for k := uint64(1); k <= n; k++ {
 		ix.put(k, int32(k))

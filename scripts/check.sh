@@ -50,8 +50,8 @@ go test -count=1 -run 'TestDifferentialAnalytic|TestAnalyticCurveInvariants' ./i
 if [ "${1:-}" = "fast" ]; then
 	echo "== go test (no race)"
 	go test ./...
-	echo "== krr-bucket key table vs slot-arena reference, bucketOf vs binary search, batched draws vs per-draw (oracles)"
-	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete|TestBucketOfMatchesBinarySearch|TestDrawBatchMatchesPerDrawSource' ./internal/core/
+	echo "== krr-bucket key table vs slot-arena reference, key-table probe lengths, bucketOf vs binary search, batched draws vs per-draw (oracles)"
+	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete|TestKeyTableProbeLength|TestBucketOfMatchesBinarySearch|TestDrawBatchMatchesPerDrawSource' ./internal/core/
 	go test -count=1 -run 'TestFillFloat64OpenMatchesPerDraw' ./internal/xrand/
 	echo "== every model vs recorded digests (oracle): end-of-stream curves and mid-stream snapshots; exact Sampled counts and one filter per model; shards at rate 1 is olken"
 	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestSnapshotCurvesMatchRecordedDigests|TestFullScaleKernelPins|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
