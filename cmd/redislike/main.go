@@ -4,32 +4,19 @@
 // minimal RESP protocol (PING, GET, SET, DEL, DBSIZE, INFO, FLUSHALL,
 // CONFIG GET/SET maxmemory|maxmemory-samples, QUIT).
 //
-// With -duel the server runs a set-dueling policy tournament instead
-// of one fixed configuration: leader key-partitions race rival
-// (policy, K) configurations and saturating PSEL counters steer the
-// rest of the keyspace to the current winner, audited online by KRR
-// shadow profilers. Duel state appears in INFO (duel_* fields) and,
-// when -metrics is set, on an HTTP listener at /metrics (Prometheus
-// text) and /duel (JSON snapshot).
-//
 // Usage:
 //
 //	redislike -addr 127.0.0.1:7379 -maxmemory 104857600 -samples 5
-//	redislike -maxmemory 104857600 -duel default -metrics 127.0.0.1:9379
 //	redis-cli -p 7379 set foo barbarbar
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 
 	"krr/internal/redislike"
-	"krr/internal/telemetry"
 )
 
 func main() {
@@ -40,12 +27,6 @@ func main() {
 		good    = flag.Bool("good-random", false, "use dictGetRandomKey-style unbiased sampling")
 		policy  = flag.String("policy", "lru", "eviction policy: lru, lfu, random")
 		seed    = flag.Uint64("seed", 1, "random seed")
-
-		duel       = flag.String("duel", "", "run a set-dueling tournament over these rivals, e.g. 'lru:5,lru:1,lfu:5,random:1' or 'default' (empty = off)")
-		duelEpoch  = flag.Int("duel-epoch", redislike.DefaultEpochRequests, "requests per PSEL epoch")
-		duelBits   = flag.Int("duel-partition-bits", redislike.DefaultPartitionBits, "keyspace partitions = 2^bits")
-		shadowRate = flag.Float64("shadow-rate", redislike.DefaultShadowRate, "KRR judge spatial sampling rate (<0 disables the judge)")
-		metrics    = flag.String("metrics", "", "HTTP listen address for /metrics and /duel (empty = off)")
 	)
 	flag.Parse()
 
@@ -64,84 +45,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	var srv *redislike.Server
-	if *duel != "" {
-		rivals, err := redislike.ParseRivals(*duel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "redislike: %v\n", err)
-			os.Exit(2)
-		}
-		srv, err = redislike.NewDuelServer(redislike.DuelConfig{
-			MaxMemory:     *maxMem,
-			Rivals:        rivals,
-			PartitionBits: *duelBits,
-			EpochRequests: *duelEpoch,
-			Sampling:      cfg.Sampling,
-			ShadowRate:    *shadowRate,
-			Seed:          *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "redislike: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		srv = redislike.NewServer(cfg)
-	}
-
+	srv := redislike.NewServer(cfg)
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "redislike: %v\n", err)
 		os.Exit(1)
 	}
-	if d := srv.Duel(); d != nil {
-		fmt.Printf("redislike: listening on %s (maxmemory=%d, duel over %d rivals)\n",
-			bound, *maxMem, len(d.Rivals()))
-	} else {
-		fmt.Printf("redislike: listening on %s (maxmemory=%d, samples=%d)\n", bound, *maxMem, *samples)
-	}
-
-	if *metrics != "" {
-		maddr, err := serveMetrics(*metrics, srv)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "redislike: metrics listener: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("redislike: metrics on http://%s/metrics\n", maddr)
-	}
+	fmt.Printf("redislike: listening on %s (maxmemory=%d, samples=%d)\n", bound, *maxMem, *samples)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
 	fmt.Println("redislike: shutting down")
 	srv.Close()
-}
-
-// serveMetrics starts the HTTP observability surface. Every exported
-// value behind /metrics and /duel is an atomic, so scrapes never race
-// the RESP request path.
-func serveMetrics(addr string, srv *redislike.Server) (string, error) {
-	set := telemetry.NewSet()
-	if d := srv.Duel(); d != nil {
-		d.MetricsInto(set, "redislike_duel_")
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		set.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /duel", func(w http.ResponseWriter, r *http.Request) {
-		d := srv.Duel()
-		if d == nil {
-			http.Error(w, "duel mode off", http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(d.State())
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	go http.Serve(ln, mux)
-	return ln.Addr().String(), nil
 }

@@ -33,8 +33,7 @@ type Decision struct {
 	// AtRequest is the request count when the decision was taken.
 	AtRequest uint64
 	// BudgetObjects is the cache budget the candidates were compared
-	// at — it can change between decisions when a fleet allocation
-	// retargets the controller.
+	// at.
 	BudgetObjects uint64
 	// ChosenK is the selected sampling size.
 	ChosenK int
@@ -94,12 +93,9 @@ func (c *Config) fill() error {
 //
 // Process and the decision log are single-caller, like every serial
 // model in this repository. The controller *state* the outside world
-// cares about — current K, the budget in force, the last decision's
-// position and outcome — lives in atomics and is exported through
-// MetricsInto, so a /metrics scrape (or a fleet supervisor) reads it
-// race-free while the stream runs. SetBudgetObjects is likewise safe
-// to call from another goroutine: fleet allocations retarget a live
-// controller without pausing it.
+// cares about — current K, the last decision's position and outcome —
+// lives in atomics and is exported through MetricsInto, so a /metrics
+// scrape reads it race-free while the stream runs.
 type Controller struct {
 	cfg       Config
 	cache     Tunable // may be nil (advisory mode)
@@ -108,7 +104,6 @@ type Controller struct {
 	decisions []Decision
 
 	// Cross-goroutine state: see the struct comment.
-	budget        atomic.Uint64
 	currentK      atomic.Int64
 	lastDecision  atomic.Uint64 // request count of the last decision
 	lastPredicted atomic.Uint64 // Float64bits of the chosen K's miss
@@ -130,7 +125,6 @@ func New(cfg Config, cache Tunable) (*Controller, error) {
 		}
 		ctl.profilers[k] = p
 	}
-	ctl.budget.Store(cfg.BudgetObjects)
 	ctl.currentK.Store(int64(cfg.Candidates[0]))
 	if cache != nil {
 		cache.SetSamplingSize(cfg.Candidates[0])
@@ -143,18 +137,7 @@ func New(cfg Config, cache Tunable) (*Controller, error) {
 func (c *Controller) CurrentK() int { return int(c.currentK.Load()) }
 
 // BudgetObjects returns the cache budget decisions are evaluated at.
-func (c *Controller) BudgetObjects() uint64 { return c.budget.Load() }
-
-// SetBudgetObjects retargets the controller to a new cache budget —
-// the fleet-allocation hook. Safe to call while Process streams on
-// another goroutine; the next window's decision compares candidates at
-// the new budget.
-func (c *Controller) SetBudgetObjects(n uint64) {
-	if n == 0 {
-		return
-	}
-	c.budget.Store(n)
-}
+func (c *Controller) BudgetObjects() uint64 { return c.cfg.BudgetObjects }
 
 // Decisions returns the decision log.
 func (c *Controller) Decisions() []Decision { return c.decisions }
@@ -162,31 +145,22 @@ func (c *Controller) Decisions() []Decision { return c.decisions }
 // Predictions returns each candidate's current predicted miss ratio
 // at the configured budget.
 func (c *Controller) Predictions() map[int]float64 {
-	return c.predictionsAt(c.budget.Load())
-}
-
-// predictionsAt evaluates every candidate at one fixed budget. decide
-// threads a single budget load through both the comparison and the
-// Decision record so a concurrent SetBudgetObjects cannot make the log
-// claim a budget the candidates were never evaluated at.
-func (c *Controller) predictionsAt(budget uint64) map[int]float64 {
 	out := make(map[int]float64, len(c.profilers))
 	for k, p := range c.profilers {
-		out[k] = p.Snapshot().Object.Eval(budget)
+		out[k] = p.Snapshot().Object.Eval(c.cfg.BudgetObjects)
 	}
 	return out
 }
 
 // MetricsInto registers the controller's observable state under
-// prefix — the one observability surface both the single-cache CLI
-// path and the fleet layer read. All values are atomics, safe to
-// scrape mid-stream.
+// prefix. The budget is fixed at construction and every other value is
+// an atomic, so a scrape is safe mid-stream.
 func (c *Controller) MetricsInto(set *telemetry.Set, prefix string) {
 	set.GaugeFunc(prefix+"current_k", "sampling size currently in force", func() float64 {
 		return float64(c.currentK.Load())
 	})
 	set.GaugeFunc(prefix+"budget_objects", "cache budget decisions are evaluated at", func() float64 {
-		return float64(c.budget.Load())
+		return float64(c.cfg.BudgetObjects)
 	})
 	set.GaugeFunc(prefix+"last_decision_request", "request count of the last decision", func() float64 {
 		return float64(c.lastDecision.Load())
@@ -232,8 +206,7 @@ func (c *Controller) ProcessAll(r trace.Reader) error {
 }
 
 func (c *Controller) decide() {
-	budget := c.budget.Load()
-	pred := c.predictionsAt(budget)
+	pred := c.Predictions()
 	current := int(c.currentK.Load())
 	bestK, bestMiss := current, pred[current]
 	for _, k := range c.cfg.Candidates {
@@ -256,7 +229,7 @@ func (c *Controller) decide() {
 	c.lastPredicted.Store(math.Float64bits(pred[current]))
 	c.decisions = append(c.decisions, Decision{
 		AtRequest:     c.count,
-		BudgetObjects: budget,
+		BudgetObjects: c.cfg.BudgetObjects,
 		ChosenK:       current,
 		Predicted:     pred,
 		Switched:      switched,

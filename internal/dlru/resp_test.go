@@ -1,5 +1,5 @@
-// External test package: redislike's duel layer imports dlru for its
-// shadow judge, so an in-package test importing redislike would cycle.
+// External test package: the controller and the RESP server meet only
+// through their exported APIs, as they would in a deployment.
 package dlru_test
 
 import (

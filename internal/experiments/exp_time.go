@@ -136,14 +136,20 @@ func runTable53(opt Options) (*Result, error) {
 }
 
 func runFig54(opt Options) (*Result, error) {
-	familyReps := map[string][]string{
-		"YCSB":    {"ycsb-c-0.99", "ycsb-e-0.99"},
-		"MSR":     {"msr-src1", "msr-web", "msr-usr"},
-		"Twitter": {"tw-26.0", "tw-45.0"},
+	// A slice, not a map: the panel order (and so the CSV rows and
+	// which family each plot file holds) must not vary between runs.
+	familyReps := []struct {
+		fam   string
+		names []string
+	}{
+		{"YCSB", []string{"ycsb-c-0.99", "ycsb-e-0.99"}},
+		{"MSR", []string{"msr-src1", "msr-web", "msr-usr"}},
+		{"Twitter", []string{"tw-26.0", "tw-45.0"}},
 	}
 	fig := Figure{Title: "Fig 5.4"}
 	var notes []string
-	for fam, names := range familyReps {
+	for _, rep := range familyReps {
+		fam, names := rep.fam, rep.names
 		// Average normalized per-request time of the practical
 		// (spatially sampled) pipeline — the configuration the paper
 		// profiles online — plus the pure per-update swap counts,

@@ -17,8 +17,8 @@ const (
 	DefaultSamples = 5
 	// PerKeyOverhead approximates Redis's per-key bookkeeping cost
 	// (dict entry + robj header) counted against maxmemory. Exported
-	// so budget math outside the package (experiments, duel sizing)
-	// matches the engine's accounting.
+	// so budget math outside the package (the experiments) matches
+	// the engine's accounting.
 	PerKeyOverhead = 48
 	perKeyOverhead = PerKeyOverhead
 )
@@ -235,13 +235,6 @@ func (e *Engine) SetSamples(k int) {
 
 // Samples returns the current maxmemory-samples.
 func (e *Engine) Samples() int { return e.cfg.Samples }
-
-// SetPolicy switches the eviction policy online — the second knob the
-// set-dueling tournament steers (Redis: CONFIG SET maxmemory-policy).
-// Objects carry their LFU counters from creation, so a switch into
-// PolicyLFU starts from warm-init counters and decays from there,
-// exactly like a real Redis policy flip on a running instance.
-func (e *Engine) SetPolicy(p Policy) { e.cfg.Policy = p }
 
 // Policy returns the eviction policy in force.
 func (e *Engine) Policy() Policy { return e.cfg.Policy }

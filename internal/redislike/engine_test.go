@@ -456,3 +456,59 @@ func TestTouchedKeyLeavesEvictionPool(t *testing.T) {
 		t.Fatal("Set on existing key left key 8 in the eviction pool with a stale idle time")
 	}
 }
+
+// TestSetSamplesTakesEffectAtNextEviction checks that an online
+// SetSamples — what CONFIG SET maxmemory-samples and the DLRU
+// controller call — changes the very next eviction. The engine starts
+// at K=1; after SetSamples(1024) each eviction sees every key, so the
+// victims are exactly the oldest keys in age order, which K=1 would
+// almost never produce.
+func TestSetSamplesTakesEffectAtNextEviction(t *testing.T) {
+	const keys = 64
+	e := NewEngine(Config{
+		MaxMemory: keys * (100 + perKeyOverhead),
+		Samples:   1,
+		Sampling:  SampleRandomKey,
+		Seed:      1,
+	})
+	for k := uint64(0); k < keys; k++ {
+		e.Set(k, 100)
+	}
+	e.SetSamples(1024)
+	for i := uint64(0); i < 8; i++ {
+		e.Set(1000+i, 100)
+		if e.dict.find(i) != nil {
+			t.Fatalf("eviction %d kept key %d, the oldest", i, i)
+		}
+	}
+	for k := uint64(8); k < keys; k++ {
+		if e.dict.find(k) == nil {
+			t.Fatalf("key %d evicted ahead of older keys", k)
+		}
+	}
+}
+
+// TestEngineDeterministicUnderSeed checks that two engines with the
+// same config and seed replay a trace to identical state under every
+// policy: the §5.7 curves are only reproducible if they do.
+func TestEngineDeterministicUnderSeed(t *testing.T) {
+	reqs, err := trace.Collect(workload.NewZipf(5, 3000, 1.0, nil, 0), 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyRandom} {
+		cfg := Config{MaxMemory: 1000 * (trace.DefaultObjectSize + perKeyOverhead), Policy: p, Seed: 9}
+		a, b := NewEngine(cfg), NewEngine(cfg)
+		for _, req := range reqs.Reqs {
+			if a.Access(req) != b.Access(req) {
+				t.Fatalf("%v: engines diverged at the same request", p)
+			}
+		}
+		if a.Stats() != b.Stats() || a.UsedMemory() != b.UsedMemory() {
+			t.Fatalf("%v: state diverged: %+v vs %+v", p, a.Stats(), b.Stats())
+		}
+		if a.Stats().Evictions == 0 {
+			t.Fatalf("%v: no evictions; the trace does not exercise eviction", p)
+		}
+	}
+}

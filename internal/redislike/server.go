@@ -22,13 +22,6 @@ import (
 type Server struct {
 	mu     sync.Mutex
 	engine *Engine
-	cfg    Config
-
-	// duel, when set, replaces the single engine with a set-dueling
-	// policy tournament: commands route by key partition and INFO
-	// grows a duel_* section.
-	duel    *Duel
-	duelCfg DuelConfig
 
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -37,28 +30,8 @@ type Server struct {
 
 // NewServer wraps an engine configuration.
 func NewServer(cfg Config) *Server {
-	return &Server{engine: NewEngine(cfg), cfg: cfg, closed: make(chan struct{})}
+	return &Server{engine: NewEngine(cfg), closed: make(chan struct{})}
 }
-
-// NewDuelServer wraps a set-dueling tournament instead of a single
-// engine.
-func NewDuelServer(cfg DuelConfig) (*Server, error) {
-	d, err := NewDuel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Server{duel: d, duelCfg: cfg, closed: make(chan struct{})}, nil
-}
-
-// Engine returns the wrapped engine (callers must not race with a
-// running server; intended for post-shutdown inspection). Nil for a
-// duel server.
-func (s *Server) Engine() *Engine { return s.engine }
-
-// Duel returns the wrapped tournament (nil for a plain server). Its
-// atomic state accessors are safe while the server runs; everything
-// else requires external serialization.
-func (s *Server) Duel() *Duel { return s.duel }
 
 // Listen starts accepting on addr ("127.0.0.1:0" picks a free port)
 // and returns the bound address.
@@ -140,26 +113,14 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) bool {
 			writeError(w, "wrong number of arguments for 'set'")
 			return false
 		}
-		if s.duel != nil {
-			s.duel.Set(parseKey(args[1]), uint32(len(args[2])))
-		} else {
-			s.engine.Set(parseKey(args[1]), uint32(len(args[2])))
-		}
+		s.engine.Set(parseKey(args[1]), uint32(len(args[2])))
 		fmt.Fprintf(w, "+OK\r\n")
 	case "GET":
 		if len(args) != 2 {
 			writeError(w, "wrong number of arguments for 'get'")
 			return false
 		}
-		var (
-			size uint32
-			ok   bool
-		)
-		if s.duel != nil {
-			size, ok = s.duel.Get(parseKey(args[1]))
-		} else {
-			size, ok = s.engine.Get(parseKey(args[1]))
-		}
+		size, ok := s.engine.Get(parseKey(args[1]))
 		if !ok {
 			fmt.Fprintf(w, "$-1\r\n")
 			return false
@@ -174,42 +135,20 @@ func (s *Server) dispatch(w *bufio.Writer, args []string) bool {
 		}
 		n := 0
 		for _, k := range args[1:] {
-			deleted := false
-			if s.duel != nil {
-				deleted = s.duel.Del(parseKey(k))
-			} else {
-				deleted = s.engine.Del(parseKey(k))
-			}
-			if deleted {
+			if s.engine.Del(parseKey(k)) {
 				n++
 			}
 		}
 		fmt.Fprintf(w, ":%d\r\n", n)
 	case "DBSIZE":
-		if s.duel != nil {
-			fmt.Fprintf(w, ":%d\r\n", s.duel.Len())
-		} else {
-			fmt.Fprintf(w, ":%d\r\n", s.engine.Len())
-		}
+		fmt.Fprintf(w, ":%d\r\n", s.engine.Len())
 	case "INFO":
-		info := ""
-		if s.duel != nil {
-			info = s.duel.Info()
-		} else {
-			info = s.engine.Info()
-		}
+		info := s.engine.Info()
 		fmt.Fprintf(w, "$%d\r\n%s\r\n", len(info), info)
 	case "FLUSHALL":
-		if s.duel != nil {
-			d, err := NewDuel(s.duelCfg)
-			if err != nil {
-				writeError(w, err.Error())
-				return false
-			}
-			s.duel = d
-		} else {
-			s.engine = NewEngine(s.cfg)
-		}
+		// Like Redis, FLUSHALL drops the data but keeps the config in
+		// force, including what CONFIG SET changed since start-up.
+		s.engine = NewEngine(s.engine.cfg)
 		fmt.Fprintf(w, "+OK\r\n")
 	case "CONFIG":
 		s.handleConfig(w, args[1:])
@@ -235,23 +174,11 @@ func (s *Server) handleConfig(w *bufio.Writer, args []string) {
 		var val string
 		switch param {
 		case "maxmemory":
-			if s.duel != nil {
-				val = strconv.FormatUint(s.duelCfg.MaxMemory, 10)
-			} else {
-				val = strconv.FormatUint(s.engine.cfg.MaxMemory, 10)
-			}
+			val = strconv.FormatUint(s.engine.cfg.MaxMemory, 10)
 		case "maxmemory-samples":
-			if s.duel != nil {
-				val = strconv.Itoa(s.duel.Winner().Samples)
-			} else {
-				val = strconv.Itoa(s.engine.Samples())
-			}
+			val = strconv.Itoa(s.engine.Samples())
 		case "maxmemory-policy":
-			if s.duel != nil {
-				val = s.duel.Winner().Policy.String()
-			} else {
-				val = s.engine.Policy().String()
-			}
+			val = s.engine.Policy().String()
 		default:
 			fmt.Fprintf(w, "*0\r\n")
 			return
@@ -260,10 +187,6 @@ func (s *Server) handleConfig(w *bufio.Writer, args []string) {
 	case "SET":
 		if len(args) != 3 {
 			writeError(w, "wrong number of arguments for 'config set'")
-			return
-		}
-		if s.duel != nil {
-			writeError(w, "parameter is steered by the policy tournament; start without -duel for manual control")
 			return
 		}
 		switch param {

@@ -100,3 +100,41 @@ func TestEngineSetSamplesFloor(t *testing.T) {
 		t.Fatalf("samples floor: %d", e.Samples())
 	}
 }
+
+// TestFlushAllKeepsConfigSet checks that FLUSHALL drops the data but
+// keeps the config in force, as Redis does: settings changed by
+// CONFIG SET must survive, not fall back to the start-up config.
+func TestFlushAllKeepsConfigSet(t *testing.T) {
+	_, addr := startServer(t, Config{MaxMemory: 1 << 20, Samples: 5, Policy: PolicyLFU, Seed: 1})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.ConfigSet("maxmemory-samples", "1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ConfigSet("maxmemory", "4096"); err != nil {
+		t.Fatal(err)
+	}
+	c.Set(1, 100)
+	if _, err := c.Do("FLUSHALL"); err != nil {
+		t.Fatal(err)
+	}
+	for param, want := range map[string]string{
+		"maxmemory-samples": "1",
+		"maxmemory":         "4096",
+		"maxmemory-policy":  "lfu",
+	} {
+		if v, err := c.ConfigGet(param); err != nil || v != want {
+			t.Fatalf("%s after FLUSHALL = %q (%v), want %q", param, v, err, want)
+		}
+	}
+	// The restored limit is in force, not only reported.
+	for k := uint64(0); k < 100; k++ {
+		c.Set(k, 100)
+	}
+	if n, _ := c.Do("DBSIZE"); n != "27" && n != "26" {
+		t.Fatalf("dbsize under maxmemory 4096 = %q, want ~27", n)
+	}
+}

@@ -61,15 +61,12 @@ if [ "${1:-}" = "fast" ]; then
 	go test -race -run 'TestConformance|TestSharded|TestSnapshot|TestQuiesce|TestReadObjectHist|TestKernelTelemetry' ./internal/model/ ./internal/shardpipe/
 	echo "== fleet curve reads under ingest (-race)"
 	go test -race -run 'TestTenantRead' ./internal/fleet/
-	echo "== redislike + dlru (-race: duel counters, controller retarget)"
+	echo "== redislike + dlru (-race: concurrent RESP clients, controller driving the server over RESP)"
 	go test -race ./internal/redislike/... ./internal/dlru/...
 else
 	echo "== go test -race"
 	go test -race ./...
 fi
-
-echo "== duel-smoke (set-dueling tournament tracks the best static rival)"
-go test -count=1 -run TestDuelSmoke ./internal/redislike/
 
 echo "== krrserve smoke (build daemon, ingest over HTTP, scrape, SIGTERM)"
 go test -count=1 -run TestServeSmoke ./cmd/krrserve/
