@@ -18,6 +18,7 @@ package aet
 
 import (
 	"krr/internal/histogram"
+	"krr/internal/keytab"
 	"krr/internal/mrc"
 	"krr/internal/sampling"
 	"krr/internal/trace"
@@ -25,8 +26,8 @@ import (
 
 // Monitor collects the reuse-time distribution of a request stream.
 type Monitor struct {
-	filter   *sampling.Filter // nil = monitor everything
-	lastSeen map[uint64]uint64
+	filter   *sampling.Filter      // nil = monitor everything
+	lastSeen *keytab.Table[uint64] // key -> clock at its last reference
 	hist     *histogram.Log
 	clock    uint64 // logical time in (unsampled) references
 	cold     uint64
@@ -38,7 +39,7 @@ type Monitor struct {
 // stream references, so no rescaling is needed); 0 or 1 monitors all.
 func New(samplingRate float64) *Monitor {
 	m := &Monitor{
-		lastSeen: make(map[uint64]uint64),
+		lastSeen: keytab.New[uint64](),
 		hist:     histogram.NewLog(),
 	}
 	if samplingRate > 0 && samplingRate < 1 {
@@ -57,27 +58,27 @@ func (m *Monitor) Process(req trace.Request) bool {
 		return false
 	}
 	if req.Op == trace.OpDelete {
-		delete(m.lastSeen, req.Key)
+		m.lastSeen.Del(req.Key)
 		return true
 	}
-	if last, ok := m.lastSeen[req.Key]; ok {
+	// The clock is at least 1 here, so a stored reading is never the
+	// table's empty value 0, and Swap's 0 means the key was unseen.
+	if last := m.lastSeen.Swap(req.Key, m.clock); last != 0 {
 		m.hist.Add(m.clock - last)
 		m.reuses++
 	} else {
 		m.cold++
 	}
-	m.lastSeen[req.Key] = m.clock
 	return true
 }
 
 // References returns the number of sampled references.
 func (m *Monitor) References() uint64 { return m.reuses + m.cold }
 
-// MemoryOverheadBytes estimates the monitor's resident metadata: the
-// last-seen map plus the reuse-time histogram.
+// MemoryOverheadBytes returns the monitor's resident metadata: the
+// last-seen table's backing arrays plus the reuse-time histogram.
 func (m *Monitor) MemoryOverheadBytes() uint64 {
-	const perEntry = 48 // map entry: key + value + bucket overhead
-	return uint64(len(m.lastSeen))*perEntry + m.hist.MemBytes()
+	return m.lastSeen.MemBytes() + m.hist.MemBytes()
 }
 
 // MRC solves the AET equation across the reuse-time histogram and

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"krr/internal/keytab"
 	"krr/internal/telemetry"
 	"krr/internal/xrand"
 )
@@ -92,12 +93,11 @@ type BucketStack struct {
 	draws  drawBatch
 
 	// Key table: open addressing over parallel arrays, entry index =
-	// slot. Same scheme as posIndex — power-of-two capacity, keyHome
-	// (top bits of Mix64; a fibonacci home clustered the generators'
-	// rank·2^64/φ keys to 43.6 probes per lookup on msr-web, Mix64
-	// reads 1.59), linear probing, grow at 3/4 load, backward-shift
-	// delete — but the value is the object's nominal position, and an
-	// entry that moves (grow, delete shift) rewrites its order cell.
+	// slot. Same scheme as keytab.Table — power-of-two capacity,
+	// keytab.Home (top bits of Mix64), linear probing, grow at 3/4
+	// load, backward-shift delete — but the value is the object's
+	// nominal position, and an entry that moves (grow, delete shift)
+	// rewrites its order cell, so it cannot be a keytab.Table.
 	// tpos[i] == 0 marks an empty entry (positions are 1-based), so
 	// key 0 needs no sentinel.
 	tkeys []uint64
@@ -164,11 +164,11 @@ func (s *BucketStack) initTable(capacity int) {
 	s.tkeys = make([]uint64, capacity)
 	s.tpos = make([]int32, capacity)
 	s.mask = uint64(capacity - 1)
-	s.shift = 64 - uint(log2Ceil(capacity))
+	s.shift = 64 - uint(bits.TrailingZeros(uint(capacity)))
 	s.max = capacity - capacity>>2
 }
 
-func (s *BucketStack) home(key uint64) uint64 { return keyHome(key, s.shift) }
+func (s *BucketStack) home(key uint64) uint64 { return keytab.Home(key, s.shift) }
 
 // find returns key's table entry and whether it is resident; when
 // absent, the entry is the empty one that ends its probe run.

@@ -2,15 +2,17 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
+	"krr/internal/keytab"
 	"krr/internal/xrand"
 )
 
 // refBucketStack is the slot-arena BucketStack the key-table layout
 // replaced, kept verbatim in behaviour as a test-only reference: keys
 // in a slot-indexed arena with a free list, key → slot in a separate
-// posIndex, slot → position in pos. Only the storage differs from
+// keytab.Table, slot → position in pos. Only the storage differs from
 // BucketStack; the bucket geometry, draw sequence and every position
 // write are the same, so the two must agree reference for reference.
 type refBucketStack struct {
@@ -21,7 +23,7 @@ type refBucketStack struct {
 	pos   []int32
 	free  []int32
 	order []int32
-	index *posIndex
+	index *keytab.Table[int32]
 
 	buckets []bucketSpan
 
@@ -36,7 +38,7 @@ func newRefBucketStack(kPrime, ratio float64, seed uint64) *refBucketStack {
 		keys:   make([]uint64, 1),
 		pos:    make([]int32, 1),
 		order:  make([]int32, 1),
-		index:  newPosIndex(),
+		index:  keytab.New[int32](),
 	}
 }
 
@@ -85,7 +87,7 @@ func (s *refBucketStack) allocSlot(key uint64) int32 {
 }
 
 func (s *refBucketStack) Reference(key uint64) Result {
-	slot := s.index.get(key)
+	slot := s.index.Get(key)
 	var res Result
 	var p int32
 	if slot == 0 {
@@ -96,7 +98,7 @@ func (s *refBucketStack) Reference(key uint64) Result {
 		if nb := len(s.buckets); nb == 0 || p > s.buckets[nb-1].end {
 			s.buckets = append(s.buckets, s.newSpan(nb))
 		}
-		s.index.put(key, slot)
+		s.index.Put(key, slot)
 		res.Cold = true
 	} else {
 		p = s.pos[slot]
@@ -134,7 +136,7 @@ func (s *refBucketStack) Reference(key uint64) Result {
 }
 
 func (s *refBucketStack) Delete(key uint64) bool {
-	slot := s.index.get(key)
+	slot := s.index.Get(key)
 	if slot == 0 {
 		return false
 	}
@@ -168,7 +170,7 @@ func (s *refBucketStack) Delete(key uint64) bool {
 	}
 	s.pos[slot] = 0
 	s.free = append(s.free, slot)
-	s.index.del(key)
+	s.index.Del(key)
 	return true
 }
 
@@ -271,13 +273,13 @@ func TestBucketStackMatchesArenaReference(t *testing.T) {
 	}
 }
 
-// wrapKeys returns n keys whose keyHome in a table of the given
+// wrapKeys returns n keys whose keytab.Home in a table of the given
 // capacity is one of its last two entries.
 func wrapKeys(capacity, n int) []uint64 {
-	shift := 64 - uint(log2Ceil(capacity))
+	shift := 64 - uint(bits.TrailingZeros(uint(capacity)))
 	var keys []uint64
 	for k := uint64(0); len(keys) < n; k++ {
-		if int(keyHome(k, shift)) >= capacity-2 {
+		if int(keytab.Home(k, shift)) >= capacity-2 {
 			keys = append(keys, k)
 		}
 	}

@@ -48,7 +48,7 @@ func TestFenwickExactUnderUpdates(t *testing.T) {
 	for step := 0; step < 4000; step++ {
 		key := src.Uint64n(150)
 		size := uint32(1 + src.Uint64n(500))
-		if prev := s.pos.get(key); prev != 0 {
+		if prev := s.pos.Get(key); prev != 0 {
 			size = s.sizes[prev] // hold sizes fixed most of the time
 			if step%17 == 0 {
 				size += 7 // but exercise Resize too
@@ -98,7 +98,7 @@ func TestSizeArrayExactAtBoundaries(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		key := src.Uint64n(300)
 		size := uint32(1 + src.Uint64n(1000))
-		if prev := s.pos.get(key); prev != 0 {
+		if prev := s.pos.Get(key); prev != 0 {
 			size = s.sizes[prev]
 		}
 		s.Reference(key, size)

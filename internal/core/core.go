@@ -36,6 +36,7 @@ import (
 	"math"
 	"math/bits"
 
+	"krr/internal/keytab"
 	"krr/internal/telemetry"
 	"krr/internal/xrand"
 )
@@ -100,7 +101,7 @@ type Stack struct {
 
 	keys  []uint64 // keys[0] unused
 	sizes []uint32 // parallel to keys
-	pos   *posIndex
+	pos   *keytab.Table[int32]
 
 	totalBytes uint64
 	tracker    byteTracker // nil = object-granularity only
@@ -192,7 +193,7 @@ func NewStack(kPrime float64, seed uint64, opts ...Option) *Stack {
 		src:    src,
 		keys:   make([]uint64, 1),
 		sizes:  make([]uint32, 1),
-		pos:    newPosIndex(),
+		pos:    keytab.New[int32](),
 		draws:  newDrawBatch(src),
 	}
 	for _, o := range opts {
@@ -220,7 +221,7 @@ func (s *Stack) At(i int) uint64 { return s.keys[i] }
 func (s *Stack) SizeAt(i int) uint32 { return s.sizes[i] }
 
 // PositionOf returns key's 1-based position, or 0 if absent.
-func (s *Stack) PositionOf(key uint64) int32 { return s.pos.get(key) }
+func (s *Stack) PositionOf(key uint64) int32 { return s.pos.Get(key) }
 
 // SwapSteps returns the cumulative number of interior swap positions
 // processed — the stack-update-overhead metric of Figure 5.4.
@@ -260,7 +261,7 @@ func (s *Stack) MetricsInto(set *telemetry.Set, prefix string) {
 // undefined (the object is appended to the stack bottom before the
 // update, per Algorithm 1's convention).
 func (s *Stack) Reference(key uint64, size uint32) Result {
-	phi := s.pos.get(key)
+	phi := s.pos.Get(key)
 	var res Result
 	if phi == 0 {
 		s.keys = append(s.keys, key)
@@ -270,7 +271,7 @@ func (s *Stack) Reference(key uint64, size uint32) Result {
 		// position 1 and writing the index exactly once. Only the
 		// phi == 1 early return (empty stack) needs the insert.
 		if phi == 1 {
-			s.pos.put(key, 1)
+			s.pos.Put(key, 1)
 		}
 		s.totalBytes += uint64(size)
 		if s.tracker != nil {
@@ -334,12 +335,12 @@ func (s *Stack) update(key uint64, size uint32, phi int32) {
 	for _, v := range s.chain[1:] {
 		carried, s.keys[v] = s.keys[v], carried
 		carriedSize, s.sizes[v] = s.sizes[v], carriedSize
-		s.pos.set(s.keys[v], v)
+		s.pos.Set(s.keys[v], v)
 	}
 	s.keys[1], s.sizes[1] = key, size
-	// put, not set: on a cold reference this is the key's first (and
+	// Put, not Set: on a cold reference this is the key's first (and
 	// only) index insert.
-	s.pos.put(key, 1)
+	s.pos.Put(key, 1)
 }
 
 // nextOpen returns the next batched uniform draw from (0, 1].
@@ -463,7 +464,7 @@ func (s *Stack) buildChainLinear(phi int32) {
 // a byte-tracker rebuild; deletes are assumed rare). Returns whether
 // the key was resident.
 func (s *Stack) Delete(key uint64) bool {
-	phi := s.pos.get(key)
+	phi := s.pos.Get(key)
 	if phi == 0 {
 		return false
 	}
@@ -472,9 +473,9 @@ func (s *Stack) Delete(key uint64) bool {
 	copy(s.sizes[phi:], s.sizes[phi+1:])
 	s.keys = s.keys[:len(s.keys)-1]
 	s.sizes = s.sizes[:len(s.sizes)-1]
-	s.pos.del(key)
+	s.pos.Del(key)
 	for i := int(phi); i < len(s.keys); i++ {
-		s.pos.set(s.keys[i], int32(i))
+		s.pos.Set(s.keys[i], int32(i))
 	}
 	if s.tracker != nil {
 		s.tracker.Rebuild(s.sizes)
@@ -489,7 +490,7 @@ func (s *Stack) Delete(key uint64) bool {
 // per slot at ≤ 3/4 load), ~28-36 bytes per tracked object — under
 // half the ~72 B/object the paper books for a bucketed hash table.
 func (s *Stack) MemoryOverheadBytes() uint64 {
-	return uint64(s.Len())*(8+4) + s.pos.memBytes()
+	return uint64(s.Len())*(8+4) + s.pos.MemBytes()
 }
 
 // log2Floor returns floor(log2(v)) for v >= 1.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"krr/internal/hashing"
+	"krr/internal/keytab"
 	"krr/internal/sampling"
 	"krr/internal/shardpipe"
 	"krr/internal/trace"
@@ -64,26 +65,29 @@ func sequentialKeys(n int, stride uint64, keep func(uint64) bool) []uint64 {
 	return keys
 }
 
-// probeStats returns the mean and longest successful probe count over
-// a table's live entries: the key at entry i homed at h is found on
-// probe ((i-h) & mask) + 1. Linear probing's total displacement does
-// not depend on insertion order, so neither does the mean.
-func probeStats(keys []uint64, live func(i int) bool, mask uint64, shift uint) (mean float64, longest uint64) {
-	var sum, n uint64
-	for i, key := range keys {
-		if !live(i) {
-			continue
-		}
-		probes := (uint64(i)-keyHome(key, shift))&mask + 1
-		sum += probes
-		n++
-		longest = max(longest, probes)
+// probeStats returns the mean and longest of probes(key) over keys.
+// Linear probing's total displacement does not depend on insertion
+// order, so neither does the mean.
+func probeStats(keys []uint64, probes func(key uint64) uint64) (mean float64, longest uint64) {
+	var sum uint64
+	for _, key := range keys {
+		p := probes(key)
+		sum += p
+		longest = max(longest, p)
 	}
-	return float64(sum) / float64(n), longest
+	return float64(sum) / float64(len(keys)), longest
 }
 
-// TestKeyTableProbeLength holds both open-addressing key tables —
-// posIndex (exact krr) and BucketStack's (krr-bucket) — to linear
+// bucketProbes returns how many entries a lookup of the resident key
+// examines in s's key table: its displacement from its home, plus one.
+func bucketProbes(s *BucketStack, key uint64) uint64 {
+	i, _ := s.find(key)
+	return (i-s.home(key))&s.mask + 1
+}
+
+// TestKeyTableProbeLength holds the open-addressing key tables —
+// keytab.Table at both value widths (exact krr's positions, aet's
+// clock readings) and BucketStack's (krr-bucket) — to linear
 // probing's uniform-hash probe lengths on every key family the repo
 // feeds them: the workload generators' rank·2^64/φ keys, dense and
 // strided integers, hashed string keys, the keys a spatial sampling
@@ -121,31 +125,31 @@ func TestKeyTableProbeLength(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			keys := f.keys()
 
-			ix := newPosIndex()
+			pos, clock := keytab.New[int32](), keytab.New[uint64]()
 			for i, k := range keys {
-				ix.put(k, int32(i+1))
+				pos.Put(k, int32(i+1))
+				clock.Put(k, uint64(i+1))
 			}
 			s := NewBucketStack(KPrimeFor(5), DefaultBucketRatio, 1)
 			for _, k := range keys {
 				s.Reference(k, 1)
 			}
-			if ix.Len() != len(keys) || s.Len() != len(keys) {
-				t.Fatalf("tables hold %d and %d keys, want %d distinct", ix.Len(), s.Len(), len(keys))
+			if pos.Len() != len(keys) || clock.Len() != len(keys) || s.Len() != len(keys) {
+				t.Fatalf("tables hold %d, %d and %d keys, want %d distinct", pos.Len(), clock.Len(), s.Len(), len(keys))
 			}
 
+			// All three grow on the same schedule, so they share a load.
+			load := float64(len(keys)) / float64(len(s.tkeys))
 			tables := []struct {
-				name  string
-				keys  []uint64
-				live  func(int) bool
-				mask  uint64
-				shift uint
+				name   string
+				probes func(uint64) uint64
 			}{
-				{"posIndex", ix.keys, func(i int) bool { return ix.vals[i] != 0 }, ix.mask, ix.shift},
-				{"BucketStack", s.tkeys, func(i int) bool { return s.tpos[i] != 0 }, s.mask, s.shift},
+				{"Table[int32]", func(k uint64) uint64 { return uint64(pos.Probes(k)) }},
+				{"Table[uint64]", func(k uint64) uint64 { return uint64(clock.Probes(k)) }},
+				{"BucketStack", func(k uint64) uint64 { return bucketProbes(s, k) }},
 			}
 			for _, tb := range tables {
-				mean, longest := probeStats(tb.keys, tb.live, tb.mask, tb.shift)
-				load := float64(len(keys)) / float64(tb.mask+1)
+				mean, longest := probeStats(keys, tb.probes)
 				t.Logf("%s: %d keys at load %.2f, mean %.2f probes, longest %d", tb.name, len(keys), load, mean, longest)
 				if mean > maxMeanProbes || longest > maxProbes {
 					t.Errorf("%s: mean %.2f probes (bound %.1f), longest %d (bound %d) at load %.2f",

@@ -588,7 +588,7 @@ func init() {
 		Target:     "lru",
 		Paper:      "Hu et al., USENIX ATC '16",
 		Complexity: "O(1) amortized/ref",
-		Space:      "reuse-time histogram + last-seen map",
+		Space:      "reuse-time histogram + last-seen table",
 		Caps:       CapDeletes,
 		New:        newAET,
 	})
@@ -597,7 +597,7 @@ func init() {
 		Target:     "lru",
 		Paper:      "Eklöv & Hagersten, ISPASS '10",
 		Complexity: "O(1) amortized/ref",
-		Space:      "reuse-time histogram + last-seen map",
+		Space:      "reuse-time histogram + last-seen table",
 		Caps:       CapDeletes,
 		New:        newStatStack,
 	})

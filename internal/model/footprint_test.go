@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"krr/internal/trace"
+	"krr/internal/xrand"
 )
 
 // TestFootprintAllModels holds every registry entry to the Footprint
@@ -31,6 +32,54 @@ func TestFootprintAllModels(t *testing.T) {
 				t.Fatalf("footprint shrank with population: 64 keys -> %d, 4096 keys -> %d", small, bigFp)
 			}
 		})
+	}
+}
+
+// TestAETFootprintTracksHeap holds the reuse-time monitors' Footprint
+// to the heap they really hold: n distinct keys, then n uniform
+// re-references through ProcessBatch, and the live heap the model
+// adds (after two collections) divided by Footprint must lie in
+// [0.8, 1.25] at each of three key counts, which straddle the
+// last-seen table's doublings.
+func TestAETFootprintTracksHeap(t *testing.T) {
+	// batch outlives every measurement, so its release is never
+	// credited to a model.
+	batch := make([]trace.Request, 4096)
+	defer runtime.KeepAlive(batch)
+	for _, name := range []string{"aet", "statstack"} {
+		for _, n := range []int{10_000, 50_000, 200_000} {
+			r := xrand.New(uint64(n))
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			m, err := New(name, Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*n; i += len(batch) {
+				for j := range batch {
+					key := uint64(i + j)
+					if i+j >= n {
+						key = r.Uint64n(uint64(n))
+					}
+					batch[j] = trace.Request{Key: key, Size: 100}
+				}
+				if err := m.ProcessBatch(batch[:min(len(batch), 2*n-i)]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			fp := m.Footprint()
+			runtime.KeepAlive(m)
+			ratio := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(fp)
+			t.Logf("%s, %d keys: heap/Footprint = %.2f (Footprint %d B)", name, n, ratio, fp)
+			if ratio < 0.8 || ratio > 1.25 {
+				t.Errorf("%s, %d keys: heap/Footprint = %.2f, want within [0.8, 1.25]", name, n, ratio)
+			}
+		}
 	}
 }
 

@@ -28,11 +28,14 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== inlining (the KRR kernels' per-draw fast path and key lookup inline into the update loops)"
+echo "== inlining (the KRR kernels' per-draw fast path and key lookups inline into the update loops; exact krr writes its key table once per swap step through an inlined Set)"
 inlined=$(go build -gcflags=-m ./internal/core 2>&1)
-for fn in '(*drawBatch).next' '(*BucketStack).find'; do
-	if ! printf '%s\n' "$inlined" | grep -qF "can inline $fn"; then
-		echo "internal/core: $fn is no longer inlinable (see draws.go)" >&2
+for want in 'can inline (*drawBatch).next' 'can inline (*BucketStack).find' \
+	'inlining call to keytab.Home' \
+	'inlining call to keytab.(*Table[go.shape.int32]).Get' \
+	'inlining call to keytab.(*Table[go.shape.int32]).Set'; do
+	if ! printf '%s\n' "$inlined" | grep -qF "$want"; then
+		echo "internal/core: the compiler no longer reports \"$want\" (see draws.go, bucket.go and internal/keytab)" >&2
 		exit 1
 	fi
 done
@@ -50,8 +53,10 @@ go test -count=1 -run 'TestDifferentialAnalytic|TestAnalyticCurveInvariants' ./i
 if [ "${1:-}" = "fast" ]; then
 	echo "== go test (no race)"
 	go test ./...
-	echo "== krr-bucket key table vs slot-arena reference, key-table probe lengths, bucketOf vs binary search, batched draws vs per-draw (oracles)"
+	echo "== krr-bucket key table vs slot-arena reference, key-table probe lengths, keytab.Table vs a Go map, aet vs its map-based reference, bucketOf vs binary search, batched draws vs per-draw (oracles)"
 	go test -count=1 -run 'TestBucketStackMatchesArenaReference|TestBucketStackWrapAroundDelete|TestKeyTableProbeLength|TestBucketOfMatchesBinarySearch|TestDrawBatchMatchesPerDrawSource' ./internal/core/
+	go test -count=1 ./internal/keytab/
+	go test -count=1 -run 'TestMonitorMatchesMapReference' ./internal/aet/
 	go test -count=1 -run 'TestFillFloat64OpenMatchesPerDraw' ./internal/xrand/
 	echo "== every model vs recorded digests (oracle): end-of-stream curves and mid-stream snapshots; exact Sampled counts and one filter per model; shards at rate 1 is olken"
 	go test -count=1 -run 'TestKRRCurvesMatchRecordedDigests|TestSnapshotCurvesMatchRecordedDigests|TestFullScaleKernelPins|TestShardsAtRateOneIsOlken|TestShardedMatchesCoreShardedProfiler|TestStreamProcessBatchEquivalence|TestConformanceSampledCounter|TestFixedSizeSampledMatchesDigests|TestKernelFilterIsTheOnlyFilter' ./internal/model/
@@ -95,7 +100,7 @@ go test -count=1 -run 'TestReadResponsesMatchSnapshotPath|TestAllocateReadsEachT
 echo "== bench smoke (Table 5.3, 100x)"
 go test -run=NONE -bench=Table5_3 -benchtime=100x .
 
-echo "== KRR hot-path A/B guard (median of interleaved paired ratios vs aet)"
+echo "== KRR hot-path A/B guard (median of interleaved paired ratios vs a frozen map-based yardstick)"
 KRR_BENCH_GUARD=1 go test -count=1 -run TestKRRHotPathABGuard .
 
 echo "check.sh: OK"
